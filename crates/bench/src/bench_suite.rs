@@ -1,6 +1,6 @@
 //! `xp bench` — the standardized engine benchmark suite.
 //!
-//! One command measures the three throughput surfaces regressions have
+//! One command measures the four throughput surfaces regressions have
 //! historically hidden in, and writes a schema-versioned suite record
 //! (`BENCH_engine_suite.json`) that `xp profile-diff --suite` gates
 //! against the committed copy:
@@ -12,6 +12,11 @@
 //!   (graphs/sec). The `Corpus` handle is reopened for every measured
 //!   round, because loads are cached per handle — a warm handle would
 //!   measure an `Arc` clone, not the decode path.
+//! * **searcher** — one search per round for each informed searcher
+//!   (plus `sim-strong-greedy-id`) on a Móri p=0.6, m=1 graph at
+//!   n ∈ {1 024, 16 384}, pooled scratch (requests/sec): the strategy
+//!   layer's decision cost, where an O(n)-per-request searcher shows as
+//!   a collapse between the two sizes.
 //! * **thread_scaling** — one weak-model Monte-Carlo cell through the
 //!   engine at 1 / 2 / 4 workers (requests/sec), catching regressions
 //!   in the runner's backpressure/merge machinery that single-threaded
@@ -27,13 +32,14 @@ use crate::{weak_cell_with_policy, StartPolicy};
 use nonsearch_core::{BarabasiAlbertModel, MergedMoriModel, ModelSource};
 use nonsearch_corpus::{build, BuildSpec, Corpus, LoadMode};
 use nonsearch_engine::{git_describe, json::JsonValue, GraphSource};
-use nonsearch_generators::SeedSequence;
+use nonsearch_generators::{rng_from_seed, SeedSequence};
 use nonsearch_graph::{NodeId, UndirectedCsr};
 use nonsearch_search::{
-    FrontierCursors, SearchScratch, SearcherKind, SuccessCriterion, WeakSearchState,
+    run_weak_in, FrontierCursors, SearchScratch, SearchTask, SearcherKind, SuccessCriterion,
+    WeakSearchState,
 };
 use std::path::PathBuf;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 const USAGE: &str = "usage: xp bench [--quick] [--out FILE]";
 
@@ -172,12 +178,75 @@ fn corpus_section(quick: bool, cells: &mut Vec<Cell>) -> Result<(), String> {
     Ok(())
 }
 
+/// Strategy-layer throughput: repeated identical searches (vertex 1 →
+/// vertex n, budget 50n) per searcher on one Móri p=0.6, m=1 graph per
+/// size, pooled scratch and searcher, until the cell has run for at
+/// least 200 ms (100 ms quick). Every round is the same search, so the
+/// request count per round is exact and only the wall clock varies.
+fn searcher_section(quick: bool, cells: &mut Vec<Cell>) {
+    let sizes: &[usize] = if quick { &[1_024] } else { &[1_024, 16_384] };
+    let min_time = Duration::from_millis(if quick { 100 } else { 200 });
+    let model = MergedMoriModel { p: 0.6, m: 1 };
+    let seeds = SeedSequence::new(0xBE5E).subsequence(0);
+    let kinds = SearcherKind::informed()
+        .iter()
+        .chain([&SearcherKind::SimStrongGreedyId]);
+    for &n in sizes {
+        let graph = ModelSource::new(&model).trial_graph(n, 0, &seeds);
+        assert_eq!(graph.node_count(), n);
+        let task =
+            SearchTask::new(NodeId::from_label(1), NodeId::from_label(n)).with_budget(50 * n);
+        let mut scratch = SearchScratch::new();
+        for kind in kinds.clone() {
+            let mut searcher = kind.build();
+            let mut search = || {
+                run_weak_in(
+                    &mut scratch,
+                    &graph,
+                    &task,
+                    &mut *searcher,
+                    &mut rng_from_seed(7),
+                )
+                .expect("suite searchers never violate the protocol")
+                .requests
+            };
+            // Warm-up round: grows the pooled state to the graph size.
+            let requests = search();
+            let mut rounds = 0u64;
+            // lint: allow(clock-env): benchmark wall-clock measurement; throughput is the deliverable, not an aggregate
+            let start = Instant::now();
+            while rounds == 0 || start.elapsed() < min_time {
+                search();
+                rounds += 1;
+            }
+            let secs = start.elapsed().as_secs_f64().max(1e-9);
+            let total = requests as u64 * rounds;
+            let throughput = total as f64 / secs;
+            let key = format!("{kind}_n{n}");
+            println!("searcher/{key}: {throughput:.0} req/s ({requests} req, {rounds} rounds)");
+            cells.push(Cell {
+                section: "searcher",
+                key,
+                throughput,
+                detail: vec![
+                    ("n", JsonValue::from(n)),
+                    ("requests_per_trial", JsonValue::from(requests)),
+                    ("rounds", JsonValue::from(rounds)),
+                    ("ns_per_request", JsonValue::from(secs * 1e9 / total as f64)),
+                ],
+            });
+        }
+    }
+}
+
 /// Engine thread scaling: one weak Monte-Carlo cell at 1 / 2 / 4
 /// workers. Aggregates are bit-identical across the three rows (the
-/// engine's contract); only the wall clock moves.
+/// engine's contract); only the wall clock moves. The trial counts keep
+/// every row long enough to time: about 1.5 s per worker-row in full
+/// mode and 100 ms quick on a 2-core host.
 fn thread_scaling_section(quick: bool, cells: &mut Vec<Cell>) {
     let n = if quick { 1_024 } else { 4_096 };
-    let trials = if quick { 8 } else { 16 };
+    let trials = if quick { 512 } else { 2_048 };
     let model = MergedMoriModel { p: 0.6, m: 1 };
     let seeds = SeedSequence::new(0xBE2C);
     for threads in [1usize, 2, 4] {
@@ -280,6 +349,7 @@ pub fn main(args: &[String]) -> i32 {
         eprintln!("xp bench: {e}");
         return 2;
     }
+    searcher_section(quick, &mut cells);
     thread_scaling_section(quick, &mut cells);
 
     let record = suite_record(quick, &cells);

@@ -39,7 +39,7 @@ fn record(ctx: &mut ExpContext, knob: &str, variant: &str, n: usize, trials: usi
                 ("variant", JsonValue::from(variant)),
                 ("n", JsonValue::from(n)),
                 ("trials", JsonValue::from(trials)),
-                ("requests", JsonValue::from(c.mean * trials as f64)),
+                ("requests", JsonValue::from(c.metrics.requests)),
                 ("wall_ms", JsonValue::from(c.wall_ms)),
                 ("requests_per_sec", JsonValue::from(c.requests_per_sec)),
             ])

@@ -155,7 +155,7 @@ impl ModelCell<'_, '_> {
                     ("model", JsonValue::from(model.name())),
                     ("n", JsonValue::from(self.n)),
                     ("trials", JsonValue::from(self.trial_count)),
-                    ("requests", JsonValue::from(requests)),
+                    ("requests", JsonValue::from(self.trial_count)),
                     ("wall_ms", JsonValue::from(wall_ms)),
                     (
                         "requests_per_sec",

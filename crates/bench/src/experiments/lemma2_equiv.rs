@@ -125,7 +125,7 @@ fn run(ctx: &mut ExpContext) {
                         ("p", JsonValue::from(p)),
                         ("n", JsonValue::from(a)),
                         ("trials", JsonValue::from(report.attempted)),
-                        ("requests", JsonValue::from(sampled)),
+                        ("requests", JsonValue::from(report.attempted)),
                         ("wall_ms", JsonValue::from(wall_ms)),
                         (
                             "requests_per_sec",

@@ -113,7 +113,7 @@ fn run(ctx: &mut ExpContext) {
                         ("p", JsonValue::from(p)),
                         ("n", JsonValue::from(a)),
                         ("trials", JsonValue::from(mc_trials)),
-                        ("requests", JsonValue::from(sampled)),
+                        ("requests", JsonValue::from(mc_trials)),
                         ("wall_ms", JsonValue::from(mc_wall_ms)),
                         (
                             "requests_per_sec",

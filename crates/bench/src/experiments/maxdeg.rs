@@ -96,7 +96,7 @@ fn run(ctx: &mut ExpContext) {
                         ("p", JsonValue::from(p)),
                         ("n", JsonValue::from(t)),
                         ("trials", JsonValue::from(trial_count)),
-                        ("requests", JsonValue::from(requests)),
+                        ("requests", JsonValue::from(trial_count)),
                         ("wall_ms", JsonValue::from(wall_ms)),
                         (
                             "requests_per_sec",

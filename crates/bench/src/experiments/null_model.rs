@@ -201,10 +201,7 @@ fn run(ctx: &mut ExpContext) {
                 .expect("write cell record");
         }
         if ctx.options.profile {
-            let requests: f64 = lanes
-                .iter()
-                .map(|lane| lane.mean() * trial_count as f64)
-                .sum();
+            let requests = metrics.requests;
             ctx.writer
                 .record_profile(vec![
                     ("model", JsonValue::from("barabasi-albert")),
@@ -215,7 +212,7 @@ fn run(ctx: &mut ExpContext) {
                     ("wall_ms", JsonValue::from(wall_ms)),
                     (
                         "requests_per_sec",
-                        JsonValue::from(requests / (wall_ms / 1e3).max(f64::EPSILON)),
+                        JsonValue::from(requests as f64 / (wall_ms / 1e3).max(f64::EPSILON)),
                     ),
                 ])
                 .expect("write profile record");

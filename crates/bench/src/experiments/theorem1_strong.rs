@@ -87,7 +87,7 @@ fn run(ctx: &mut ExpContext) {
                             ("searcher", JsonValue::from(kind.name())),
                             ("n", JsonValue::from(n)),
                             ("trials", JsonValue::from(trial_count)),
-                            ("requests", JsonValue::from(cell.mean * trial_count as f64)),
+                            ("requests", JsonValue::from(cell.metrics.requests)),
                             ("wall_ms", JsonValue::from(cell.wall_ms)),
                             ("requests_per_sec", JsonValue::from(cell.requests_per_sec)),
                         ])

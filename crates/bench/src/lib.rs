@@ -94,18 +94,16 @@ pub struct CellStats {
 impl CellStats {
     fn from_lane(
         lane: &nonsearch_engine::LaneAggregate,
-        trial_count: usize,
         wall_ms: f64,
         obs: TrialObs,
         workers: usize,
     ) -> CellStats {
-        let requests = lane.mean() * trial_count as f64;
         CellStats {
             mean: lane.mean(),
             ci95: lane.ci95(),
             success: lane.success_rate(),
             wall_ms,
-            requests_per_sec: requests / (wall_ms / 1e3).max(f64::EPSILON),
+            requests_per_sec: obs.metrics.requests as f64 / (wall_ms / 1e3).max(f64::EPSILON),
             metrics: obs.metrics,
             phases: obs.phases,
             allocations: obs.allocations,
@@ -234,7 +232,6 @@ pub fn strong_cell_from(
     );
     CellStats::from_lane(
         &lane,
-        trial_count,
         start.elapsed().as_secs_f64() * 1e3,
         obs,
         resolved_workers(threads, trial_count),
@@ -365,7 +362,6 @@ pub fn weak_cell_with_policy_from(
     );
     CellStats::from_lane(
         &lane,
-        trial_count,
         start.elapsed().as_secs_f64() * 1e3,
         obs,
         resolved_workers(threads, trial_count),

@@ -112,8 +112,9 @@ pub struct CellProfile {
     pub lanes: usize,
     /// Wall-clock time of the whole cell in milliseconds.
     pub wall_ms: f64,
-    /// Total oracle requests served across all lanes and trials.
-    pub requests: f64,
+    /// Total oracle requests served across all lanes and trials — the
+    /// exact `metrics.requests` count.
+    pub requests: u64,
     /// `requests` divided by the cell's wall time in seconds.
     pub requests_per_sec: f64,
     /// The cell's merged engine metrics — exact counters folded in
@@ -277,17 +278,13 @@ pub fn certify_with_source(
                 success_rate: lane.success_rate(),
             });
         }
-        let requests: f64 = lanes
-            .iter()
-            .map(|lane| lane.mean() * config.trials as f64)
-            .sum();
         profiles.push(CellProfile {
             n,
             trials: config.trials,
             lanes: n_searchers,
             wall_ms,
-            requests,
-            requests_per_sec: requests / (wall_ms / 1e3).max(f64::EPSILON),
+            requests: metrics.requests,
+            requests_per_sec: metrics.requests as f64 / (wall_ms / 1e3).max(f64::EPSILON),
             metrics,
             phases: obs.phases,
             allocations: obs.allocations,
@@ -443,7 +440,7 @@ mod tests {
             assert_eq!(profile.n, n);
             assert_eq!(profile.trials, 6);
             assert_eq!(profile.lanes, 3);
-            assert!(profile.requests > 0.0);
+            assert!(profile.requests > 0);
             assert!(profile.requests_per_sec > 0.0);
             assert!(profile.requests_per_sec.is_finite());
             let lane_sum: f64 = report
@@ -451,13 +448,13 @@ mod tests {
                 .iter()
                 .map(|a| a.points.iter().find(|p| p.n == n).unwrap().mean_requests * 6.0)
                 .sum();
-            assert!((profile.requests - lane_sum).abs() < 1e-6);
+            assert!((profile.requests as f64 - lane_sum).abs() < 1e-6);
             // The merged metrics agree with the aggregates: exact
             // request totals, one histogram sample per trial, and
             // sane activity counters from the pooled oracle state.
             let m = &profile.metrics;
             assert_eq!(m.trials, 6);
-            assert_eq!(m.requests as f64, profile.requests);
+            assert_eq!(m.requests, profile.requests);
             assert_eq!(m.trial_requests.total(), 6);
             assert!(m.discoveries > 0);
             assert!(m.edge_resolutions > 0);

@@ -322,7 +322,8 @@ impl std::fmt::Display for ValidateSummary {
 }
 
 /// The numeric fields every `"type":"profile"` record must carry, each a
-/// finite non-negative number.
+/// finite non-negative number; `requests` must also be a JSON integer,
+/// since it is an exact count.
 const PROFILE_REQUIRED: [&str; 5] = ["n", "trials", "requests", "wall_ms", "requests_per_sec"];
 
 /// The counter fields every `"type":"metrics"` record must carry, each a
@@ -408,6 +409,12 @@ pub fn validate_jsonl(text: &str) -> Result<ValidateSummary, String> {
                             ))
                         }
                     }
+                }
+                if value.get("requests").and_then(|v| v.as_u64()).is_none() {
+                    return Err(format!(
+                        "line {}: profile field \"requests\" is not an exact integer count",
+                        lineno + 1
+                    ));
                 }
                 summary.profiles += 1;
             }
@@ -779,6 +786,13 @@ mod tests {
                         \"wall_ms\":-1,\"requests_per_sec\":1.0}";
         let err = validate_jsonl(negative).unwrap_err();
         assert!(err.contains("wall_ms"), "{err}");
+        // `requests` is an exact count: a float rebuilt from means, or
+        // an integral value written as a float, must fail.
+        for requests in ["423897.99999999994", "512.0"] {
+            let fractional = good.replace("\"requests\":512", &format!("\"requests\":{requests}"));
+            let err = validate_jsonl(&fractional).unwrap_err();
+            assert!(err.contains("exact integer"), "{requests}: {err}");
+        }
     }
 
     #[test]

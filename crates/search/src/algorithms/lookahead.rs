@@ -4,6 +4,8 @@ use crate::frontier::FrontierCursors;
 use crate::{DiscoveredView, SearchTask, WeakSearcher};
 use nonsearch_graph::{EdgeId, NodeId};
 use rand::{Rng, RngCore};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// A greedy look-ahead walk: fully expand the current vertex, then move
 /// to the revealed neighbor whose label is closest to the target's.
@@ -12,12 +14,20 @@ use rand::{Rng, RngCore};
 /// the label metric standing in for lattice distance — the natural
 /// algorithm to try once one knows identities are ages. Theorem 1 says
 /// it, too, is stuck at `Ω(√n)`.
+///
+/// At a dead end it jumps to the discovered vertex with work left whose
+/// label is closest to the target's. O(log n) amortized per request via
+/// a lazy-deletion heap.
 #[derive(Debug, Clone, Default)]
 pub struct LookaheadWalk {
     current: Option<NodeId>,
     edges: FrontierCursors,
     /// Neighbors revealed while expanding the current vertex.
     basket: Vec<NodeId>,
+    /// Dead-end fallback candidates: every discovered vertex up to
+    /// `seen`, keyed by label gap to the target.
+    heap: BinaryHeap<Reverse<(usize, NodeId)>>,
+    seen: usize,
 }
 
 impl LookaheadWalk {
@@ -59,16 +69,20 @@ impl WeakSearcher for LookaheadWalk {
                 // Dead end: fall back to the globally best discovered
                 // vertex with work left (keeps the walk from giving up
                 // while the component still has unexplored edges).
-                let fallback = view
-                    .discovered()
-                    .iter()
-                    .copied()
-                    .filter(|v| view.has_unexplored(*v))
-                    .min_by_key(|&v| (gap(v), v))?;
-                self.current = Some(fallback);
-                self.edges
-                    .next_unexplored(view, fallback)
-                    .map(|e| (fallback, e))
+                while self.seen < view.len() {
+                    let v = view.discovered()[self.seen];
+                    self.heap.push(Reverse((gap(v), v)));
+                    self.seen += 1;
+                }
+                while let Some(&Reverse((_, v))) = self.heap.peek() {
+                    if let Some(e) = self.edges.next_unexplored(view, v) {
+                        self.current = Some(v);
+                        return Some((v, e));
+                    }
+                    // Exhausted vertices never regain unexplored edges.
+                    self.heap.pop();
+                }
+                None
             }
         }
     }
@@ -81,10 +95,13 @@ impl WeakSearcher for LookaheadWalk {
         self.current = None;
         self.edges.reset();
         self.basket.clear();
+        self.heap.clear();
+        self.seen = 0;
     }
 
     fn reserve(&mut self, nodes: usize, edges: usize) {
         self.edges.reserve(nodes);
+        self.heap.reserve(nodes);
         // The basket holds one entry per request since the last hop,
         // which the expanding vertex's degree bounds.
         self.basket.reserve(2 * edges);

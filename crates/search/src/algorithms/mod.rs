@@ -8,6 +8,11 @@
 //! * [`HighDegreeGreedy`] — Adamic et al.'s degree-seeking strategy.
 //! * [`GreedyIdProximity`] — exploit identity labels (ages) greedily.
 //! * [`OldestFirst`] — head for the oldest (core) vertices first.
+//! * [`LookaheadWalk`] — expand the current vertex, then hop to the
+//!   revealed neighbor whose label is closest to the target's.
+//! * [`RestartingWalk`] — a random walk teleporting back to the start.
+//! * [`SimulatedStrong`](crate::SimulatedStrong) — runs any strong-model
+//!   searcher in the weak model (the paper's slowdown simulation).
 //!
 //! Strong-model searchers ([`StrongSearcher`](crate::StrongSearcher)):
 //! [`StrongBfs`], [`StrongHighDegree`], [`StrongGreedyId`].

@@ -3,6 +3,8 @@
 use crate::{DiscoveredView, SearchTask, StampedNodeSet, StrongSearcher};
 use nonsearch_graph::NodeId;
 use rand::RngCore;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Strong-model BFS: expand known vertices in discovery order.
 #[derive(Debug, Clone, Default)]
@@ -56,9 +58,14 @@ impl StrongSearcher for StrongBfs {
 /// Strong-model high-degree greedy: expand the known, unexpanded vertex
 /// of maximum degree (Adamic et al.'s strategy as literally stated —
 /// neighbor degrees *are* known in the strong model).
+///
+/// Ties break toward the older (smaller-label) vertex. O(log n)
+/// amortized per request via a lazy-deletion heap.
 #[derive(Debug, Clone, Default)]
 pub struct StrongHighDegree {
     expanded: StampedNodeSet,
+    heap: BinaryHeap<(usize, Reverse<NodeId>)>,
+    seen: usize,
 }
 
 impl StrongHighDegree {
@@ -79,16 +86,20 @@ impl StrongSearcher for StrongHighDegree {
         view: &DiscoveredView,
         _rng: &mut dyn RngCore,
     ) -> Option<NodeId> {
-        view.discovered()
-            .iter()
-            .copied()
-            .filter(|&v| !self.expanded.contains(v))
-            .max_by_key(|&v| {
-                (
-                    view.degree_of(v).expect("discovered vertices have info"),
-                    std::cmp::Reverse(v),
-                )
-            })
+        while self.seen < view.len() {
+            let v = view.discovered()[self.seen];
+            let degree = view.degree_of(v).expect("discovered vertices have info");
+            self.heap.push((degree, Reverse(v)));
+            self.seen += 1;
+        }
+        while let Some(&(_, Reverse(v))) = self.heap.peek() {
+            if !self.expanded.contains(v) {
+                return Some(v);
+            }
+            // Expanded vertices are never expanded again.
+            self.heap.pop();
+        }
+        None
     }
 
     fn observe(&mut self, expanded: NodeId, _neighbors: &[NodeId]) {
@@ -97,18 +108,26 @@ impl StrongSearcher for StrongHighDegree {
 
     fn reset(&mut self) {
         self.expanded.clear();
+        self.heap.clear();
+        self.seen = 0;
     }
 
     fn reserve(&mut self, nodes: usize, _edges: usize) {
         self.expanded.reserve(nodes);
+        self.heap.reserve(nodes);
     }
 }
 
 /// Strong-model identity greedy: expand the known, unexpanded vertex with
 /// label closest to the target's.
+///
+/// Ties break toward the older (smaller-label) vertex. O(log n)
+/// amortized per request via a lazy-deletion heap.
 #[derive(Debug, Clone, Default)]
 pub struct StrongGreedyId {
     expanded: StampedNodeSet,
+    heap: BinaryHeap<Reverse<(usize, NodeId)>>,
+    seen: usize,
 }
 
 impl StrongGreedyId {
@@ -129,11 +148,19 @@ impl StrongSearcher for StrongGreedyId {
         view: &DiscoveredView,
         _rng: &mut dyn RngCore,
     ) -> Option<NodeId> {
-        view.discovered()
-            .iter()
-            .copied()
-            .filter(|&v| !self.expanded.contains(v))
-            .min_by_key(|&v| (v.label().abs_diff(task.target.label()), v))
+        while self.seen < view.len() {
+            let v = view.discovered()[self.seen];
+            let gap = v.label().abs_diff(task.target.label());
+            self.heap.push(Reverse((gap, v)));
+            self.seen += 1;
+        }
+        while let Some(&Reverse((_, v))) = self.heap.peek() {
+            if !self.expanded.contains(v) {
+                return Some(v);
+            }
+            self.heap.pop();
+        }
+        None
     }
 
     fn observe(&mut self, expanded: NodeId, _neighbors: &[NodeId]) {
@@ -142,10 +169,13 @@ impl StrongSearcher for StrongGreedyId {
 
     fn reset(&mut self) {
         self.expanded.clear();
+        self.heap.clear();
+        self.seen = 0;
     }
 
     fn reserve(&mut self, nodes: usize, _edges: usize) {
         self.expanded.reserve(nodes);
+        self.heap.reserve(nodes);
     }
 }
 

@@ -14,7 +14,8 @@ use nonsearch_alloc_counter::{allocations, CountingAllocator};
 use nonsearch_generators::{rng_from_seed, MergedMori};
 use nonsearch_graph::NodeId;
 use nonsearch_search::{
-    run_strong_in, run_weak_in, SearchScratch, SearchTask, SearcherKind, StrongBfs, StrongSearcher,
+    run_strong_in, run_weak_in, SearchScratch, SearchTask, SearcherKind, StrongBfs, StrongGreedyId,
+    StrongHighDegree, StrongSearcher,
 };
 
 #[global_allocator]
@@ -40,7 +41,9 @@ fn steady_state_trials_allocate_nothing() {
         SearcherKind::GreedyId,
         SearcherKind::OldestFirst,
         SearcherKind::RandomWalk,
+        SearcherKind::LookaheadWalk,
         SearcherKind::SimStrongHighDegree,
+        SearcherKind::SimStrongGreedyId,
     ] {
         let mut searcher = kind.build();
         // Warm-up trial: arrays grow to the graph size, heaps/queues
@@ -61,19 +64,31 @@ fn steady_state_trials_allocate_nothing() {
         );
     }
 
-    // The strong oracle's expansion/answer buffers are pooled too.
-    let mut strong = StrongBfs::new();
-    let mut rng = rng_from_seed(13);
-    let warm = run_strong_in(&mut scratch, &graph, &task, &mut strong, &mut rng).unwrap();
-    let mut rng = rng_from_seed(13);
-    let before = allocations();
-    let steady = run_strong_in(&mut scratch, &graph, &task, &mut strong, &mut rng).unwrap();
-    let allocated = allocations() - before;
-    assert_eq!(steady, warm);
-    assert_eq!(
-        allocated, 0,
-        "strong-bfs: steady-state trial performed {allocated} heap allocations"
-    );
+    // The strong oracle's expansion/answer buffers are pooled too, and
+    // so are the native strong searchers' heaps.
+    for mut strong in strong_searchers() {
+        let mut rng = rng_from_seed(13);
+        let warm = run_strong_in(&mut scratch, &graph, &task, &mut *strong, &mut rng).unwrap();
+        let mut rng = rng_from_seed(13);
+        let before = allocations();
+        let steady = run_strong_in(&mut scratch, &graph, &task, &mut *strong, &mut rng).unwrap();
+        let allocated = allocations() - before;
+        let name = strong.name();
+        assert_eq!(steady, warm, "{name}");
+        assert_eq!(
+            allocated, 0,
+            "{name}: steady-state trial performed {allocated} heap allocations"
+        );
+    }
+}
+
+/// The native strong searchers, fresh.
+fn strong_searchers() -> [Box<dyn StrongSearcher>; 3] {
+    [
+        Box::new(StrongBfs::new()),
+        Box::new(StrongHighDegree::new()),
+        Box::new(StrongGreedyId::new()),
+    ]
 }
 
 #[test]
@@ -107,7 +122,9 @@ fn steady_state_trials_allocate_nothing_with_metrics_enabled() {
         SearcherKind::GreedyId,
         SearcherKind::OldestFirst,
         SearcherKind::RandomWalk,
+        SearcherKind::LookaheadWalk,
         SearcherKind::SimStrongHighDegree,
+        SearcherKind::SimStrongGreedyId,
     ] {
         let mut searcher = kind.build();
         let mut rng = rng_from_seed(11);
@@ -150,8 +167,8 @@ fn steady_state_trials_allocate_nothing_with_metrics_enabled() {
         assert_eq!(delta.scratch_resets, 1, "{kind}");
     }
 
-    assert_eq!(metrics.trials, 7);
-    assert_eq!(metrics.trial_requests.total(), 7);
+    assert_eq!(metrics.trials, 9);
+    assert_eq!(metrics.trial_requests.total(), 9);
     assert!(metrics.requests > 0);
     assert!(metrics.discoveries > 0);
 
@@ -198,7 +215,9 @@ fn presized_first_trials_allocate_nothing() {
         SearcherKind::GreedyId,
         SearcherKind::OldestFirst,
         SearcherKind::RandomWalk,
+        SearcherKind::LookaheadWalk,
         SearcherKind::SimStrongHighDegree,
+        SearcherKind::SimStrongGreedyId,
     ] {
         let mut scratch = SearchScratch::for_graph_size(nodes, edges);
         let mut searcher = kind.build();
@@ -225,25 +244,27 @@ fn presized_first_trials_allocate_nothing() {
         assert_eq!(first, unsized_run, "{kind}: pre-sizing changed the outcome");
     }
 
-    let mut scratch = SearchScratch::for_graph_size(nodes, edges);
-    let mut strong = StrongBfs::new();
-    strong.reserve(nodes, edges);
-    let mut rng = rng_from_seed(13);
-    let before = allocations();
-    let first = run_strong_in(&mut scratch, &graph, &task, &mut strong, &mut rng).unwrap();
-    let allocated = allocations() - before;
-    assert_eq!(
-        allocated, 0,
-        "strong-bfs: pre-sized first trial performed {allocated} heap allocations"
-    );
-    let mut rng = rng_from_seed(13);
-    let unsized_run = run_strong_in(
-        &mut SearchScratch::new(),
-        &graph,
-        &task,
-        &mut StrongBfs::new(),
-        &mut rng,
-    )
-    .unwrap();
-    assert_eq!(first, unsized_run);
+    for (mut strong, mut fresh) in strong_searchers().into_iter().zip(strong_searchers()) {
+        let name = strong.name();
+        let mut scratch = SearchScratch::for_graph_size(nodes, edges);
+        strong.reserve(nodes, edges);
+        let mut rng = rng_from_seed(13);
+        let before = allocations();
+        let first = run_strong_in(&mut scratch, &graph, &task, &mut *strong, &mut rng).unwrap();
+        let allocated = allocations() - before;
+        assert_eq!(
+            allocated, 0,
+            "{name}: pre-sized first trial performed {allocated} heap allocations"
+        );
+        let mut rng = rng_from_seed(13);
+        let unsized_run = run_strong_in(
+            &mut SearchScratch::new(),
+            &graph,
+            &task,
+            &mut *fresh,
+            &mut rng,
+        )
+        .unwrap();
+        assert_eq!(first, unsized_run, "{name}: pre-sizing changed the outcome");
+    }
 }

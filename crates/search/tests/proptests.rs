@@ -1,15 +1,20 @@
 //! Property-based tests: oracle accounting, searcher invariants, the
 //! dense view's observational equivalence against a hash-map reference
-//! model, and scratch-reuse bit-identity.
+//! model, the heap searchers' equivalence against full-scan reference
+//! searchers, and scratch-reuse bit-identity.
 
 use nonsearch_generators::{rng_from_seed, MergedMori};
 use nonsearch_graph::{EdgeId, NodeId, UndirectedCsr};
 use nonsearch_search::{
-    run_strong, run_strong_in, run_weak, run_weak_in, DiscoveredView, SearchScratch, SearchTask,
-    SearcherKind, StampedMap, StrongBfs, StrongSearchState, SuccessCriterion, WeakSearchState,
+    run_strong, run_strong_in, run_weak, run_weak_in, DiscoveredView, FrontierCursors,
+    LookaheadWalk, SearchScratch, SearchTask, SearcherKind, SimulatedStrong, StampedMap, StrongBfs,
+    StrongGreedyId, StrongHighDegree, StrongSearchState, StrongSearcher, SuccessCriterion,
+    WeakSearchState, WeakSearcher,
 };
 use proptest::prelude::*;
-use std::collections::HashMap;
+use rand::RngCore;
+use std::cmp::Reverse;
+use std::collections::{HashMap, HashSet};
 
 /// A connected multigraph via the merged Móri generator.
 fn connected_graph(n: usize, m: usize, p: f64, seed: u64) -> UndirectedCsr {
@@ -90,6 +95,160 @@ impl ReferenceView {
                 .collect()
         })
     }
+}
+
+/// Reference model for `StrongHighDegree`: a full scan of the
+/// discovered list per request for the unexpanded vertex of maximum
+/// `(degree, Reverse(label))`.
+#[derive(Default)]
+struct ScanStrongHighDegree {
+    expanded: HashSet<NodeId>,
+}
+
+impl StrongSearcher for ScanStrongHighDegree {
+    fn name(&self) -> &'static str {
+        "scan-strong-high-degree"
+    }
+
+    fn next_request(
+        &mut self,
+        _task: &SearchTask,
+        view: &DiscoveredView,
+        _rng: &mut dyn RngCore,
+    ) -> Option<NodeId> {
+        view.discovered()
+            .iter()
+            .copied()
+            .filter(|v| !self.expanded.contains(v))
+            .max_by_key(|&v| (view.degree_of(v).unwrap(), Reverse(v)))
+    }
+
+    fn observe(&mut self, expanded: NodeId, _neighbors: &[NodeId]) {
+        self.expanded.insert(expanded);
+    }
+
+    fn reset(&mut self) {
+        self.expanded.clear();
+    }
+}
+
+/// Reference model for `StrongGreedyId`: a full scan for the unexpanded
+/// vertex of minimum `(label gap to the target, label)`.
+#[derive(Default)]
+struct ScanStrongGreedyId {
+    expanded: HashSet<NodeId>,
+}
+
+impl StrongSearcher for ScanStrongGreedyId {
+    fn name(&self) -> &'static str {
+        "scan-strong-greedy-id"
+    }
+
+    fn next_request(
+        &mut self,
+        task: &SearchTask,
+        view: &DiscoveredView,
+        _rng: &mut dyn RngCore,
+    ) -> Option<NodeId> {
+        view.discovered()
+            .iter()
+            .copied()
+            .filter(|v| !self.expanded.contains(v))
+            .min_by_key(|&v| (v.label().abs_diff(task.target.label()), v))
+    }
+
+    fn observe(&mut self, expanded: NodeId, _neighbors: &[NodeId]) {
+        self.expanded.insert(expanded);
+    }
+
+    fn reset(&mut self) {
+        self.expanded.clear();
+    }
+}
+
+/// Reference model for `LookaheadWalk`: the same walk, with the dead-end
+/// fallback as a full scan of the discovered list.
+#[derive(Default)]
+struct ScanLookaheadWalk {
+    current: Option<NodeId>,
+    edges: FrontierCursors,
+    basket: Vec<NodeId>,
+}
+
+impl WeakSearcher for ScanLookaheadWalk {
+    fn name(&self) -> &'static str {
+        "scan-lookahead-walk"
+    }
+
+    fn next_request(
+        &mut self,
+        task: &SearchTask,
+        view: &DiscoveredView,
+        _rng: &mut dyn RngCore,
+    ) -> Option<(NodeId, EdgeId)> {
+        let current = *self.current.get_or_insert(task.start);
+        if let Some(e) = self.edges.next_unexplored(view, current) {
+            return Some((current, e));
+        }
+        let gap = |v: NodeId| v.label().abs_diff(task.target.label());
+        let next = self
+            .basket
+            .drain(..)
+            .filter(|v| view.has_unexplored(*v))
+            .min_by_key(|&v| (gap(v), v))
+            .or_else(|| {
+                view.discovered()
+                    .iter()
+                    .copied()
+                    .filter(|v| view.has_unexplored(*v))
+                    .min_by_key(|&v| (gap(v), v))
+            })?;
+        self.current = Some(next);
+        self.edges.next_unexplored(view, next).map(|e| (next, e))
+    }
+
+    fn observe(&mut self, _request: (NodeId, EdgeId), revealed: NodeId) {
+        self.basket.push(revealed);
+    }
+
+    fn reset(&mut self) {
+        self.current = None;
+        self.edges.reset();
+        self.basket.clear();
+    }
+}
+
+/// Every heap searcher paired with its full-scan reference, as weak
+/// searchers (the strong ones through `SimulatedStrong`).
+fn weak_pairs() -> Vec<(Box<dyn WeakSearcher>, Box<dyn WeakSearcher>)> {
+    vec![
+        (
+            Box::new(LookaheadWalk::new()),
+            Box::new(ScanLookaheadWalk::default()),
+        ),
+        (
+            Box::new(SimulatedStrong::new(StrongHighDegree::new())),
+            Box::new(SimulatedStrong::new(ScanStrongHighDegree::default())),
+        ),
+        (
+            Box::new(SimulatedStrong::new(StrongGreedyId::new())),
+            Box::new(SimulatedStrong::new(ScanStrongGreedyId::default())),
+        ),
+    ]
+}
+
+/// The native strong heap searchers paired with their references.
+fn strong_pairs() -> Vec<(Box<dyn StrongSearcher>, Box<dyn StrongSearcher>)> {
+    vec![
+        (
+            Box::new(StrongHighDegree::new()),
+            Box::new(ScanStrongHighDegree::default()),
+        ),
+        (
+            Box::new(StrongGreedyId::new()),
+            Box::new(ScanStrongGreedyId::default()),
+        ),
+    ]
 }
 
 /// One scripted operation against both views.
@@ -261,6 +420,72 @@ proptest! {
                 &graph, &task, &mut StrongBfs::new(), &mut rng_from_seed(seed),
             ).unwrap();
             prop_assert_eq!(reused, fresh, "strong target {}", target);
+        }
+    }
+
+    #[test]
+    fn heap_searchers_match_their_full_scan_references(
+        n in 2usize..120,
+        m in 1usize..4,
+        p in 0.0f64..=1.0,
+        seed in 0u64..1000,
+        pairs in proptest::collection::vec((0usize..1000, 0usize..1000, 1usize..6), 1..4),
+    ) {
+        let graph = connected_graph(n, m, p, seed);
+        for &(start_sel, target_sel, budget_factor) in &pairs {
+            // Budgets from n·m to 5·n·m end some searches early, so
+            // budget-exhausted outcomes are compared too.
+            let task = SearchTask::new(NodeId::new(start_sel % n), NodeId::new(target_sel % n))
+                .with_budget(budget_factor * n * m);
+            for (mut heap, mut scan) in weak_pairs() {
+                let name = heap.name();
+                let want = run_weak(&graph, &task, &mut *scan, &mut rng_from_seed(seed)).unwrap();
+                let got = run_weak(&graph, &task, &mut *heap, &mut rng_from_seed(seed)).unwrap();
+                prop_assert_eq!(got, want, "weak {} on {:?}", name, task);
+            }
+            for (mut heap, mut scan) in strong_pairs() {
+                let name = heap.name();
+                let want = run_strong(&graph, &task, &mut *scan, &mut rng_from_seed(seed)).unwrap();
+                let got = run_strong(&graph, &task, &mut *heap, &mut rng_from_seed(seed)).unwrap();
+                prop_assert_eq!(got, want, "strong {} on {:?}", name, task);
+            }
+        }
+    }
+
+    #[test]
+    fn reused_heap_searchers_match_fresh_ones(
+        n in 2usize..120,
+        m in 1usize..4,
+        p in 0.0f64..=1.0,
+        seed in 0u64..1000,
+        targets in proptest::collection::vec((0usize..1000, 1usize..6), 2..6),
+    ) {
+        // One searcher instance serves every target in turn, on one
+        // pooled scratch; each outcome must equal a fresh searcher's. A
+        // heap or cursor that `reset` failed to clear would carry the
+        // previous target's keys into the next search.
+        let graph = connected_graph(n, m, p, seed);
+        let mut scratch = SearchScratch::new();
+        let mut weak: Vec<_> = weak_pairs().into_iter().map(|(heap, _)| heap).collect();
+        let mut strong: Vec<_> = strong_pairs().into_iter().map(|(heap, _)| heap).collect();
+        for &(target_sel, budget_factor) in &targets {
+            let task = SearchTask::new(NodeId::from_label(1), NodeId::new(target_sel % n))
+                .with_budget(budget_factor * n * m);
+            for (pooled, (mut fresh, _)) in weak.iter_mut().zip(weak_pairs()) {
+                let reused = run_weak_in(
+                    &mut scratch, &graph, &task, &mut **pooled, &mut rng_from_seed(seed),
+                ).unwrap();
+                let want = run_weak(&graph, &task, &mut *fresh, &mut rng_from_seed(seed)).unwrap();
+                prop_assert_eq!(reused, want, "weak {} on {:?}", pooled.name(), task);
+            }
+            for (pooled, (mut fresh, _)) in strong.iter_mut().zip(strong_pairs()) {
+                let reused = run_strong_in(
+                    &mut scratch, &graph, &task, &mut **pooled, &mut rng_from_seed(seed),
+                ).unwrap();
+                let want =
+                    run_strong(&graph, &task, &mut *fresh, &mut rng_from_seed(seed)).unwrap();
+                prop_assert_eq!(reused, want, "strong {} on {:?}", pooled.name(), task);
+            }
         }
     }
 
