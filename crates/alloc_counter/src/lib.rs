@@ -2,9 +2,10 @@
 //!
 //! The search hot path promises *zero* steady-state heap allocations;
 //! this crate makes that checkable rather than aspirational. Both the
-//! `crates/search/tests/alloc_free.rs` suite and the `oracle_ops`
-//! bench install the same counter, so the test's assertion and the
-//! bench record's `steady_state_allocs` field measure the same thing:
+//! `crates/search/tests/alloc_free.rs` suite and the `xp` binary
+//! install the same counter, so the test's assertion, the engine's
+//! per-trial `allocations` metric and the `xp bench` oracle cells'
+//! `allocs_per_trial` field measure the same thing:
 //!
 //! ```ignore
 //! #[global_allocator]

@@ -6,8 +6,9 @@
 //! against the committed copy:
 //!
 //! * **oracle** — the weak-model full flood on BA(m=2) at
-//!   n ∈ {1 000, 10 000, 100 000}, pooled scratch, the same harness as
-//!   `benches/oracle_ops.rs` (requests/sec).
+//!   n ∈ {1 000, 10 000, 100 000}, pooled and (at n = 10 000) fresh
+//!   scratch, on a Móri p=1.0, m=1 star at n = 16 384, and the
+//!   strong-model full expansion at n = 10 000 (requests/sec).
 //! * **corpus_load** — decoding a freshly-opened corpus, heap vs mmap
 //!   (graphs/sec). The `Corpus` handle is reopened for every measured
 //!   round, because loads are cached per handle — a warm handle would
@@ -29,14 +30,15 @@
 //! run can never clobber the committed full record.
 
 use crate::{weak_cell_with_policy, StartPolicy};
+use nonsearch_alloc_counter::allocations;
 use nonsearch_core::{BarabasiAlbertModel, MergedMoriModel, ModelSource};
 use nonsearch_corpus::{build, BuildSpec, Corpus, LoadMode};
 use nonsearch_engine::{git_describe, json::JsonValue, GraphSource};
 use nonsearch_generators::{rng_from_seed, SeedSequence};
 use nonsearch_graph::{NodeId, UndirectedCsr};
 use nonsearch_search::{
-    run_weak_in, FrontierCursors, SearchScratch, SearchTask, SearcherKind, SuccessCriterion,
-    WeakSearchState,
+    run_weak_in, FrontierCursors, SearchScratch, SearchTask, SearcherKind, StrongSearchState,
+    SuccessCriterion, WeakSearchState,
 };
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -63,8 +65,7 @@ struct Cell {
 
 /// The weak-model full flood (one request per unexplored edge slot of
 /// each discovered vertex, discovery order): the oracle hot path with
-/// zero strategy overhead — identical to the `oracle_ops` bench lane,
-/// so the suite's numbers stay comparable with the criterion history.
+/// zero strategy overhead.
 fn weak_flood(
     scratch: &mut SearchScratch,
     cursors: &mut FrontierCursors,
@@ -85,44 +86,138 @@ fn weak_flood(
     state.requests()
 }
 
+/// The strong-model full expansion: request every discovered vertex
+/// once, in discovery order.
+fn strong_expand_all(scratch: &mut SearchScratch, graph: &UndirectedCsr) -> usize {
+    let mut state = StrongSearchState::new_in(scratch, graph, NodeId::from_label(1)).unwrap();
+    let mut cursor = 0usize;
+    while cursor < state.view().len() {
+        let v = state.view().discovered()[cursor];
+        cursor += 1;
+        state.request(v).unwrap();
+    }
+    state.requests()
+}
+
 fn ba_graph(n: usize) -> std::sync::Arc<UndirectedCsr> {
     let model = BarabasiAlbertModel { m: 2 };
     ModelSource::new(&model).trial_graph(n, 0, &SeedSequence::new(0xBEAC).subsequence(0))
 }
 
-/// Oracle hot path: flood throughput per size, pooled scratch.
+fn mori_graph(n: usize, p: f64, m: usize) -> std::sync::Arc<UndirectedCsr> {
+    let model = MergedMoriModel { p, m };
+    ModelSource::new(&model).trial_graph(n, 0, &SeedSequence::new(0xBEAC).subsequence(0))
+}
+
+/// What [`timed_rounds`] measured.
+struct Timed {
+    /// The warm-up round's result (requests per round).
+    requests: usize,
+    /// Timed rounds.
+    rounds: u64,
+    /// Wall seconds of the timed rounds.
+    secs: f64,
+    /// Heap allocations over the timed rounds, on this thread (zero
+    /// unless the binary installs the counting allocator, as `xp` does).
+    allocs: u64,
+}
+
+impl Timed {
+    fn throughput(&self) -> f64 {
+        (self.requests as u64 * self.rounds) as f64 / self.secs
+    }
+}
+
+/// Runs `round` once to warm pooled state, then repeatedly until at
+/// least `min_time` has passed.
+fn timed_rounds(min_time: Duration, mut round: impl FnMut() -> usize) -> Timed {
+    let requests = round();
+    let mut rounds = 0u64;
+    let allocs_before = allocations();
+    // lint: allow(clock-env): benchmark wall-clock measurement; throughput is the deliverable, not an aggregate
+    let start = Instant::now();
+    while rounds == 0 || start.elapsed() < min_time {
+        round();
+        rounds += 1;
+    }
+    Timed {
+        requests,
+        rounds,
+        secs: start.elapsed().as_secs_f64().max(1e-9),
+        allocs: allocations() - allocs_before,
+    }
+}
+
+/// Oracle hot path, requests/sec per cell:
+///
+/// * `weak_flood_n*` — the weak flood on BA(m=2) per size, pooled
+///   scratch (steady state, no growth allocations);
+/// * `weak_flood_fresh_n10000` — the same flood with a fresh scratch
+///   and cursor set per trial, so the growth allocations are timed;
+/// * `weak_flood_star_n16384` — the weak flood on a Móri p=1.0, m=1
+///   graph, a star whose hub has degree n − 1, so any per-request
+///   cost in the requesting vertex's degree shows as a collapse;
+/// * `strong_expand_all_n10000` — the strong full expansion on a Móri
+///   p=0.5, m=2 graph, pooled scratch.
+///
+/// The last three cells use the same n in quick and full mode, so the
+/// suite gate compares them on every run.
 fn oracle_section(quick: bool, cells: &mut Vec<Cell>) {
     let sizes: &[usize] = if quick {
         &[1_000, 10_000]
     } else {
         &[1_000, 10_000, 100_000]
     };
+    let min_time = Duration::from_millis(if quick { 100 } else { 200 });
     let mut scratch = SearchScratch::new();
     let mut cursors = FrontierCursors::new();
     for &n in sizes {
         let graph = ba_graph(n);
-        let reps: u32 = if n >= 100_000 { 3 } else { 10 };
-        // Warm the pooled scratch so the measured trials are steady
-        // state (no growth allocations).
-        let requests = weak_flood(&mut scratch, &mut cursors, &graph);
-        // lint: allow(clock-env): benchmark wall-clock measurement; throughput is the deliverable, not an aggregate
-        let start = Instant::now();
-        for _ in 0..reps {
-            weak_flood(&mut scratch, &mut cursors, &graph);
-        }
-        let ns = (start.elapsed().as_nanos() / reps as u128).max(1) as u64;
-        let throughput = requests as f64 / (ns as f64 / 1e9);
-        println!("oracle/weak_flood_n{n}: {throughput:.0} req/s ({requests} req, {reps} reps)");
-        cells.push(Cell {
-            section: "oracle",
-            key: format!("weak_flood_n{n}"),
-            throughput,
-            detail: vec![
-                ("n", JsonValue::from(n)),
-                ("requests_per_trial", JsonValue::from(requests)),
-                ("ns_per_trial", JsonValue::from(ns)),
-            ],
-        });
+        let timed = timed_rounds(min_time, || weak_flood(&mut scratch, &mut cursors, &graph));
+        cells.push(oracle_cell("weak_flood", n, timed));
+    }
+    let graph = ba_graph(10_000);
+    let timed = timed_rounds(min_time, || {
+        weak_flood(
+            &mut SearchScratch::new(),
+            &mut FrontierCursors::new(),
+            &graph,
+        )
+    });
+    cells.push(oracle_cell("weak_flood_fresh", 10_000, timed));
+    let star = mori_graph(16_384, 1.0, 1);
+    let timed = timed_rounds(min_time, || weak_flood(&mut scratch, &mut cursors, &star));
+    cells.push(oracle_cell("weak_flood_star", 16_384, timed));
+    let graph = mori_graph(10_000, 0.5, 2);
+    let timed = timed_rounds(min_time, || strong_expand_all(&mut scratch, &graph));
+    cells.push(oracle_cell("strong_expand_all", 10_000, timed));
+}
+
+/// The `oracle` cell keyed `<lane>_n<n>`.
+fn oracle_cell(lane: &str, n: usize, timed: Timed) -> Cell {
+    let key = format!("{lane}_n{n}");
+    let throughput = timed.throughput();
+    println!(
+        "oracle/{key}: {throughput:.0} req/s ({} req, {} rounds)",
+        timed.requests, timed.rounds
+    );
+    Cell {
+        section: "oracle",
+        key,
+        throughput,
+        detail: vec![
+            ("n", JsonValue::from(n)),
+            ("requests_per_trial", JsonValue::from(timed.requests)),
+            ("rounds", JsonValue::from(timed.rounds)),
+            (
+                "ns_per_trial",
+                JsonValue::from(timed.secs * 1e9 / timed.rounds as f64),
+            ),
+            (
+                "allocs_per_trial",
+                JsonValue::from(timed.allocs / timed.rounds),
+            ),
+        ],
     }
 }
 
@@ -199,7 +294,7 @@ fn searcher_section(quick: bool, cells: &mut Vec<Cell>) {
         let mut scratch = SearchScratch::new();
         for kind in kinds.clone() {
             let mut searcher = kind.build();
-            let mut search = || {
+            let timed = timed_rounds(min_time, || {
                 run_weak_in(
                     &mut scratch,
                     &graph,
@@ -209,30 +304,22 @@ fn searcher_section(quick: bool, cells: &mut Vec<Cell>) {
                 )
                 .expect("suite searchers never violate the protocol")
                 .requests
-            };
-            // Warm-up round: grows the pooled state to the graph size.
-            let requests = search();
-            let mut rounds = 0u64;
-            // lint: allow(clock-env): benchmark wall-clock measurement; throughput is the deliverable, not an aggregate
-            let start = Instant::now();
-            while rounds == 0 || start.elapsed() < min_time {
-                search();
-                rounds += 1;
-            }
-            let secs = start.elapsed().as_secs_f64().max(1e-9);
-            let total = requests as u64 * rounds;
-            let throughput = total as f64 / secs;
+            });
+            let throughput = timed.throughput();
             let key = format!("{kind}_n{n}");
-            println!("searcher/{key}: {throughput:.0} req/s ({requests} req, {rounds} rounds)");
+            println!(
+                "searcher/{key}: {throughput:.0} req/s ({} req, {} rounds)",
+                timed.requests, timed.rounds
+            );
             cells.push(Cell {
                 section: "searcher",
                 key,
                 throughput,
                 detail: vec![
                     ("n", JsonValue::from(n)),
-                    ("requests_per_trial", JsonValue::from(requests)),
-                    ("rounds", JsonValue::from(rounds)),
-                    ("ns_per_request", JsonValue::from(secs * 1e9 / total as f64)),
+                    ("requests_per_trial", JsonValue::from(timed.requests)),
+                    ("rounds", JsonValue::from(timed.rounds)),
+                    ("ns_per_request", JsonValue::from(1e9 / throughput)),
                 ],
             });
         }
@@ -402,6 +489,21 @@ mod tests {
         // request; BA(m=2) is connected, and m=2 adds extra edges, so
         // the flood needs at least n − 1 requests.
         assert!(requests >= graph.node_count() - 1);
+    }
+
+    #[test]
+    fn star_cell_floods_a_star() {
+        let graph = mori_graph(256, 1.0, 1);
+        let hub = (0..graph.node_count())
+            .map(|v| graph.degree(NodeId::new(v)))
+            .max()
+            .unwrap();
+        assert_eq!(hub, graph.node_count() - 1);
+        let mut scratch = SearchScratch::new();
+        let mut cursors = FrontierCursors::new();
+        let requests = weak_flood(&mut scratch, &mut cursors, &graph);
+        assert_eq!(requests, graph.node_count() - 1);
+        assert_eq!(strong_expand_all(&mut scratch, &graph), graph.node_count());
     }
 
     #[test]

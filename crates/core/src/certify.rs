@@ -101,7 +101,7 @@ impl AlgorithmScaling {
 ///
 /// Unlike [`ScalingPoint`]s, profiles carry volatile wall-clock data —
 /// they exist for `--profile`-style reporting and regression tracking
-/// against `BENCH_search_hot_path.json`, never for determinism checks.
+/// against the `xp bench` suite record, never for determinism checks.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CellProfile {
     /// Requested model size.

@@ -4,9 +4,13 @@
 //! the view keeps flat arrays indexed by id instead of hash tables: a
 //! [`StampedMap`] of arena spans per node, a [`StampedMap`] of resolution
 //! flags per edge, and one shared arena holding every discovered incident
-//! list back to back. Per-request work is a handful of array reads — no
-//! hashing, and no heap allocation once the arrays have grown to the
-//! graph's size.
+//! list back to back. A request's view work is O(1) array writes, plus
+//! one O(deg v) copy of a vertex's incident list into the arena the
+//! first time `v` is discovered — no hashing, and no heap allocation
+//! once the arrays have grown to the graph's size. The view never scans
+//! an incident list to answer the oracle: the weak oracle checks
+//! incidence against the graph's edge endpoints (see
+//! [`WeakSearchState::request`](crate::WeakSearchState::request)).
 //!
 //! # Layout: hot stamps, cold endpoints
 //!

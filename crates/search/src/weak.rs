@@ -80,23 +80,28 @@ impl<'s, 'g> WeakSearchState<'s, 'g> {
     /// the far endpoint of `e` and that vertex's incident edge list.
     /// Costs one request, *including* redundant re-requests.
     ///
+    /// Runs in O(1), plus a one-time O(deg v) copy of the far endpoint
+    /// `v`'s incident list when `v` is first discovered. The incidence
+    /// check reads `e`'s endpoints instead of scanning `u`'s list: a
+    /// discovered vertex's list is its CSR list, copied from this
+    /// graph, so `e` is in it iff `e` is an edge of the graph with `u`
+    /// as an endpoint (self-loops and parallel edges included).
+    ///
     /// # Errors
     ///
     /// * [`SearchError::UndiscoveredVertex`] if `u` is not discovered.
     /// * [`SearchError::UnknownIncidence`] if `e` is not incident to `u`.
+    // lint: alloc-free
     pub fn request(&mut self, u: NodeId, e: EdgeId) -> crate::Result<NodeId> {
-        let Some(info) = self.scratch.view.vertex(u) else {
+        if !self.scratch.view.contains(u) {
             return Err(SearchError::UndiscoveredVertex { vertex: u });
-        };
-        if !info.incident().contains(&e) {
-            return Err(SearchError::UnknownIncidence { vertex: u, edge: e });
         }
+        let other = match self.graph.edge_endpoints(e) {
+            Ok((a, b)) if a == u => b,
+            Ok((a, b)) if b == u => a,
+            _ => return Err(SearchError::UnknownIncidence { vertex: u, edge: e }),
+        };
         self.requests += 1;
-        let (a, b) = self
-            .graph
-            .edge_endpoints(e)
-            .expect("edge handle came from the graph");
-        let other = if a == u { b } else { a };
         self.scratch.view.resolve_edge(u, e, other);
         self.scratch
             .view
@@ -208,8 +213,24 @@ mod tests {
             s.request(NodeId::new(0), EdgeId::new(1)),
             Err(SearchError::UnknownIncidence { .. })
         ));
+        // A handle past the graph's edges is an unknown incidence, not
+        // a panic.
+        assert!(matches!(
+            s.request(NodeId::new(0), EdgeId::new(2)),
+            Err(SearchError::UnknownIncidence { .. })
+        ));
         // Errors cost nothing.
         assert_eq!(s.requests(), 0);
+        // Edge 1 is incident to the now-discovered vertex 1, but still
+        // not to vertex 0.
+        let e0 = s.view().vertex(NodeId::new(0)).unwrap().incident()[0];
+        s.request(NodeId::new(0), e0).unwrap();
+        assert!(s.view().contains(NodeId::new(1)));
+        assert!(matches!(
+            s.request(NodeId::new(0), EdgeId::new(1)),
+            Err(SearchError::UnknownIncidence { .. })
+        ));
+        assert_eq!(s.requests(), 1);
     }
 
     #[test]

@@ -7,9 +7,9 @@ use nonsearch_generators::{rng_from_seed, MergedMori};
 use nonsearch_graph::{EdgeId, NodeId, UndirectedCsr};
 use nonsearch_search::{
     run_strong, run_strong_in, run_weak, run_weak_in, DiscoveredView, FrontierCursors,
-    LookaheadWalk, SearchScratch, SearchTask, SearcherKind, SimulatedStrong, StampedMap, StrongBfs,
-    StrongGreedyId, StrongHighDegree, StrongSearchState, StrongSearcher, SuccessCriterion,
-    WeakSearchState, WeakSearcher,
+    LookaheadWalk, SearchError, SearchScratch, SearchTask, SearcherKind, SimulatedStrong,
+    StampedMap, StrongBfs, StrongGreedyId, StrongHighDegree, StrongSearchState, StrongSearcher,
+    SuccessCriterion, WeakSearchState, WeakSearcher,
 };
 use proptest::prelude::*;
 use rand::RngCore;
@@ -625,5 +625,57 @@ proptest! {
         prop_assert_eq!(weak.found, strong.found);
         // The strong oracle is at least as informative per request.
         prop_assert!(strong.requests <= weak.requests.max(1));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The weak oracle accepts `(u, e)` exactly when `e` is in `u`'s
+    /// revealed incident list, on multigraphs with self-loops and
+    /// parallel edges, and for handles past the graph's last edge.
+    #[test]
+    fn weak_request_accepts_exactly_the_revealed_incidences(
+        n in 2usize..40,
+        m in 1usize..=4,
+        p in 0.0f64..=1.0,
+        seed in 0u64..500,
+        prefix in 0usize..30,
+        probes in proptest::collection::vec((0usize..1 << 16, 0usize..1 << 16), 1..16),
+    ) {
+        let graph = connected_graph(n, m, p, seed);
+        let mut scratch = SearchScratch::new();
+        let mut state =
+            WeakSearchState::new_in(&mut scratch, &graph, NodeId::from_label(1)).unwrap();
+        let mut rng = rng_from_seed(seed);
+        use rand::Rng;
+        for _ in 0..prefix {
+            let order = state.view().discovered();
+            let v = order[rng.gen_range(0..order.len())];
+            let incident = state.view().vertex(v).unwrap().incident();
+            if incident.is_empty() {
+                continue;
+            }
+            let e = incident[rng.gen_range(0..incident.len())];
+            state.request(v, e).unwrap();
+        }
+        for (u_pick, e_pick) in probes {
+            let order = state.view().discovered();
+            let u = order[u_pick % order.len()];
+            let e = EdgeId::new(e_pick % (graph.edge_count() + 8));
+            let listed = state.view().vertex(u).unwrap().incident().contains(&e);
+            let before = state.requests();
+            match state.request(u, e) {
+                Ok(_) => {
+                    prop_assert!(listed, "accepted unlisted {e:?} at {u:?}");
+                    prop_assert_eq!(state.requests(), before + 1);
+                }
+                Err(err) => {
+                    prop_assert!(!listed, "rejected listed {e:?} at {u:?}");
+                    prop_assert_eq!(err, SearchError::UnknownIncidence { vertex: u, edge: e });
+                    prop_assert_eq!(state.requests(), before);
+                }
+            }
+        }
     }
 }
