@@ -29,7 +29,7 @@
 //! and writes `BENCH_engine_suite.quick.json` instead, so a truncated
 //! run can never clobber the committed full record.
 
-use crate::{weak_cell_with_policy, StartPolicy};
+use crate::{weak_cell_with_policy_from, StartPolicy};
 use nonsearch_alloc_counter::allocations;
 use nonsearch_core::{BarabasiAlbertModel, MergedMoriModel, ModelSource};
 use nonsearch_corpus::{build, BuildSpec, Corpus, LoadMode};
@@ -337,8 +337,8 @@ fn thread_scaling_section(quick: bool, cells: &mut Vec<Cell>) {
     let model = MergedMoriModel { p: 0.6, m: 1 };
     let seeds = SeedSequence::new(0xBE2C);
     for threads in [1usize, 2, 4] {
-        let cell = weak_cell_with_policy(
-            &model,
+        let (_, cell) = weak_cell_with_policy_from(
+            &ModelSource::new(&model),
             n,
             SearcherKind::HighDegree,
             SuccessCriterion::DiscoverTarget,
@@ -350,7 +350,7 @@ fn thread_scaling_section(quick: bool, cells: &mut Vec<Cell>) {
         );
         println!(
             "thread_scaling/threads_{threads}_n{n}: {:.0} req/s ({trials} trials)",
-            cell.requests_per_sec
+            cell.requests_per_sec()
         );
         cells.push(Cell {
             section: "thread_scaling",
@@ -358,7 +358,7 @@ fn thread_scaling_section(quick: bool, cells: &mut Vec<Cell>) {
             // are different workloads, and the suite diff must skip a
             // cross-mode pair, not compare it.
             key: format!("threads_{threads}_n{n}"),
-            throughput: cell.requests_per_sec,
+            throughput: cell.requests_per_sec(),
             detail: vec![
                 ("n", JsonValue::from(n)),
                 ("trials", JsonValue::from(trials)),

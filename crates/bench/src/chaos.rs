@@ -16,7 +16,7 @@
 use crate::experiments::registry;
 use nonsearch_corpus::{build, force_heap_fallback, BuildSpec, Corpus, LoadMode};
 use nonsearch_engine::{
-    install_faults, run_cell_observed, CliOptions, FailurePolicy, FaultHook, FaultInjection,
+    install_faults, run_lanes_observed, CliOptions, FailurePolicy, FaultHook, FaultInjection,
     InjectedFault, JsonValue, RunWriter, TrialMeasure,
 };
 use nonsearch_fault::{FaultPlan, StorageFault, TrialFault};
@@ -425,12 +425,13 @@ fn watchdog_phase(plan_seed: u64, writer: &mut RunWriter) -> Result<(), String> 
         hook: Some(hook),
         cell_deadline_ms: Some(25),
     });
-    let (_, obs) = run_cell_observed(
+    let (_, obs) = run_lanes_observed(
         4,
+        1,
         2,
         &SeedSequence::new(1),
         || (),
-        |_pool, _obs, trial, _seeds| TrialMeasure::new(trial as f64, true),
+        |_pool, _obs, trial, _seeds| vec![TrialMeasure::new(trial as f64, true)],
     );
     drop(scope);
     if !obs.degraded {

@@ -2,10 +2,10 @@
 //! oracle strength, success criterion, and start-vertex policy.
 
 use super::{open_corpus, print_banner, resolve_source};
-use crate::{strong_cell_from, weak_cell_with_policy_from, CellStats, StartPolicy, StrongKind};
+use crate::{strong_cell_from, weak_cell_with_policy_from, StartPolicy, StrongKind};
 use nonsearch_analysis::Table;
 use nonsearch_core::MergedMoriModel;
-use nonsearch_engine::{ExpContext, ExperimentSpec, JsonValue};
+use nonsearch_engine::{CellTelemetry, ExpContext, ExperimentSpec, JsonValue, LaneAggregate};
 use nonsearch_generators::SeedSequence;
 use nonsearch_search::{SearcherKind, SuccessCriterion};
 
@@ -17,59 +17,38 @@ pub(super) const SPEC: ExperimentSpec = ExperimentSpec {
     run,
 };
 
-fn record(ctx: &mut ExpContext, knob: &str, variant: &str, n: usize, trials: usize, c: CellStats) {
+fn record(
+    ctx: &mut ExpContext,
+    knob: &str,
+    variant: &str,
+    n: usize,
+    (lane, cell): (LaneAggregate, CellTelemetry),
+) {
     ctx.writer
         .record_cell(vec![
             ("model", JsonValue::from("mori")),
             ("knob", JsonValue::from(knob)),
             ("variant", JsonValue::from(variant)),
             ("n", JsonValue::from(n)),
-            ("trials", JsonValue::from(trials)),
+            ("trials", JsonValue::from(cell.trials)),
             ("seed", JsonValue::from(ctx.seed)),
-            ("mean", JsonValue::from(c.mean)),
-            ("ci95", JsonValue::from(c.ci95)),
-            ("success", JsonValue::from(c.success)),
+            ("mean", JsonValue::from(lane.mean())),
+            ("ci95", JsonValue::from(lane.ci95())),
+            ("success", JsonValue::from(lane.success_rate())),
         ])
         .expect("write cell record");
     if ctx.options.profile {
         ctx.writer
-            .record_profile(vec![
-                ("model", JsonValue::from("mori")),
-                ("knob", JsonValue::from(knob)),
-                ("variant", JsonValue::from(variant)),
-                ("n", JsonValue::from(n)),
-                ("trials", JsonValue::from(trials)),
-                ("requests", JsonValue::from(c.metrics.requests)),
-                ("wall_ms", JsonValue::from(c.wall_ms)),
-                ("requests_per_sec", JsonValue::from(c.requests_per_sec)),
-            ])
-            .expect("write profile record");
-        ctx.writer
-            .record_metrics(
+            .record_cell_telemetry(
                 vec![
                     ("model", JsonValue::from("mori")),
                     ("knob", JsonValue::from(knob)),
                     ("variant", JsonValue::from(variant)),
                     ("n", JsonValue::from(n)),
                 ],
-                &c.metrics,
+                &cell,
             )
-            .expect("write metrics record");
-        ctx.writer
-            .record_resource(
-                vec![
-                    ("model", JsonValue::from("mori")),
-                    ("knob", JsonValue::from(knob)),
-                    ("variant", JsonValue::from(variant)),
-                    ("n", JsonValue::from(n)),
-                ],
-                c.wall_ms as u64,
-                c.workers,
-                &c.phases,
-                c.allocations,
-                &c.resource,
-            )
-            .expect("write resource record");
+            .expect("write telemetry records");
     }
 }
 
@@ -109,10 +88,10 @@ fn run(ctx: &mut ExpContext) {
         t1.row(vec![
             "weak".into(),
             n.to_string(),
-            format!("{:.1}", weak.mean),
-            format!("{:.2}", weak.success),
+            format!("{:.1}", weak.0.mean()),
+            format!("{:.2}", weak.0.success_rate()),
         ]);
-        record(ctx, "oracle", "weak", n, trial_count, weak);
+        record(ctx, "oracle", "weak", n, weak);
         let sim = weak_cell_with_policy_from(
             &*source,
             n,
@@ -127,10 +106,10 @@ fn run(ctx: &mut ExpContext) {
         t1.row(vec![
             "simulated-strong".into(),
             n.to_string(),
-            format!("{:.1}", sim.mean),
-            format!("{:.2}", sim.success),
+            format!("{:.1}", sim.0.mean()),
+            format!("{:.2}", sim.0.success_rate()),
         ]);
-        record(ctx, "oracle", "simulated-strong", n, trial_count, sim);
+        record(ctx, "oracle", "simulated-strong", n, sim);
         let strong = strong_cell_from(
             &*source,
             n,
@@ -142,10 +121,10 @@ fn run(ctx: &mut ExpContext) {
         t1.row(vec![
             "strong (native)".into(),
             n.to_string(),
-            format!("{:.1}", strong.mean),
-            format!("{:.2}", strong.success),
+            format!("{:.1}", strong.0.mean()),
+            format!("{:.2}", strong.0.success_rate()),
         ]);
-        record(ctx, "oracle", "strong-native", n, trial_count, strong);
+        record(ctx, "oracle", "strong-native", n, strong);
     }
     println!("{t1}");
 
@@ -172,10 +151,10 @@ fn run(ctx: &mut ExpContext) {
             t2.row(vec![
                 name.into(),
                 n.to_string(),
-                format!("{:.1}", cell.mean),
-                format!("{:.2}", cell.success),
+                format!("{:.1}", cell.0.mean()),
+                format!("{:.2}", cell.0.success_rate()),
             ]);
-            record(ctx, "criterion", name, n, trial_count, cell);
+            record(ctx, "criterion", name, n, cell);
         }
     }
     println!("{t2}");
@@ -204,10 +183,10 @@ fn run(ctx: &mut ExpContext) {
             t3.row(vec![
                 policy.name().into(),
                 n.to_string(),
-                format!("{:.1}", cell.mean),
-                format!("{:.2}", cell.success),
+                format!("{:.1}", cell.0.mean()),
+                format!("{:.2}", cell.0.success_rate()),
             ]);
-            record(ctx, "start", policy.name(), n, trial_count, cell);
+            record(ctx, "start", policy.name(), n, cell);
         }
     }
     println!("{t3}");

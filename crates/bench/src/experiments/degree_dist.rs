@@ -12,7 +12,7 @@ use nonsearch_core::{
     BarabasiAlbertModel, CooperFriezeModel, GraphModel, MergedMoriModel, UniformAttachmentModel,
 };
 use nonsearch_corpus::Corpus;
-use nonsearch_engine::{run_lanes, ExpContext, ExperimentSpec, JsonValue, TrialMeasure};
+use nonsearch_engine::{run_lanes_observed, ExpContext, ExperimentSpec, JsonValue, TrialMeasure};
 use nonsearch_generators::{MoriTree, SeedSequence};
 use nonsearch_graph::degree_sequence;
 
@@ -104,12 +104,13 @@ impl ModelCell<'_, '_> {
         let cell_seeds = self.seeds.subsequence(mi);
         // lint: allow(clock-env): profile wall-clock, reported in telemetry records, never aggregated
         let cell_start = std::time::Instant::now();
-        let lanes = run_lanes(
+        let (lanes, _) = run_lanes_observed(
             self.trial_count,
             3,
             self.ctx.options.threads,
             &cell_seeds,
-            |trial, trial_seeds| {
+            || (),
+            |(), _, trial, trial_seeds| {
                 let graph = source.trial_graph(self.n, trial, &trial_seeds);
                 let degrees = degree_sequence(&graph);
                 match fit_power_law_mle(&degrees, FIT_MIN_DEGREE) {

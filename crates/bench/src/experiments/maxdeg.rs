@@ -8,7 +8,7 @@
 use super::{open_corpus, print_banner, resolve_source};
 use nonsearch_analysis::{fit_log_log, Table};
 use nonsearch_core::{mori_max_degree_exponent, MergedMoriModel};
-use nonsearch_engine::{run_cell, ExpContext, ExperimentSpec, JsonValue, TrialMeasure};
+use nonsearch_engine::{run_lanes_observed, ExpContext, ExperimentSpec, JsonValue, TrialMeasure};
 use nonsearch_generators::SeedSequence;
 
 pub(super) const SPEC: ExperimentSpec = ExperimentSpec {
@@ -44,16 +44,19 @@ fn run(ctx: &mut ExpContext) {
             let cell_seeds = seeds.subsequence(pi as u64).subsequence(si as u64);
             // lint: allow(clock-env): profile/phase wall-clock, reported in telemetry records, never aggregated
             let cell_start = std::time::Instant::now();
-            let aggregate = run_cell(
+            let (lanes, _) = run_lanes_observed(
                 trial_count,
+                1,
                 ctx.options.threads,
                 &cell_seeds,
-                |trial, trial_seeds| {
+                || (),
+                |(), _, trial, trial_seeds| {
                     let graph = source.trial_graph(t, trial, &trial_seeds);
                     let (_, d) = graph.max_degree().expect("sampled trees are non-empty");
-                    TrialMeasure::new(d as f64, true)
+                    vec![TrialMeasure::new(d as f64, true)]
                 },
             );
+            let aggregate = lanes[0];
             let wall_ms = cell_start.elapsed().as_secs_f64() * 1e3;
             xs.push(t as f64);
             ys.push(aggregate.mean());

@@ -23,12 +23,13 @@ use super::{open_corpus, print_banner, resolve_source};
 use nonsearch_analysis::{fit_log_log, Table};
 use nonsearch_core::{BarabasiAlbertModel, GraphModel};
 use nonsearch_engine::{
-    elapsed_ns, resolved_workers, run_lanes_observed, ExpContext, ExperimentSpec, GraphSource,
-    JsonValue, ResourceSample,
+    run_lanes_observed, CellTelemetry, ExpContext, ExperimentSpec, GraphSource, JsonValue,
+    TrialMeasure,
 };
 use nonsearch_generators::{degree_preserving_rewire, SeedSequence};
 use nonsearch_graph::NodeId;
-use nonsearch_search::{run_weak_in, SearchScratch, SearchTask, SearcherKind, SuccessCriterion};
+use nonsearch_obs::timed;
+use nonsearch_search::{search_trial, SearchScratch, SearchTask, SearcherKind, SuccessCriterion};
 use std::sync::Arc;
 
 pub(super) const SPEC: ExperimentSpec = ExperimentSpec {
@@ -82,95 +83,68 @@ fn run(ctx: &mut ExpContext) {
     for (size_idx, &n) in sizes.iter().enumerate() {
         let _cell_span = tracer.span("size-cell");
         let size_seeds = seeds.subsequence(size_idx as u64);
-        // lint: allow(clock-env): profile/phase wall-clock, reported in telemetry records, never aggregated
-        let cell_start = std::time::Instant::now();
-        let (lanes, obs) = run_lanes_observed(
-            trial_count,
-            VARIANTS.len() * SEARCHERS.len(),
-            ctx.options.threads,
-            &size_seeds,
-            // Per-worker pool: one scratch plus one instance of each
-            // searcher per variant lane, reused across trials.
-            || {
-                (
-                    SearchScratch::new(),
-                    (0..VARIANTS.len() * SEARCHERS.len())
-                        .map(|i| SEARCHERS[i % SEARCHERS.len()].build())
-                        .collect::<Vec<_>>(),
-                )
-            },
-            |(scratch, searchers), obs, trial, trial_seeds| {
-                // lint: allow(clock-env): profile/phase wall-clock, reported in telemetry records, never aggregated
-                let fetch_start = std::time::Instant::now();
-                let original = original_source.trial_graph(n, trial, &trial_seeds);
-                let fetch_ns = elapsed_ns(fetch_start);
-                if original_source.is_stored() {
-                    obs.phases.load_ns += fetch_ns;
-                } else {
-                    obs.phases.generate_ns += fetch_ns;
-                }
-                // lint: allow(clock-env): profile/phase wall-clock, reported in telemetry records, never aggregated
-                let rewire_start = std::time::Instant::now();
-                let rewired = match &variant_source {
-                    Some(source) => source.trial_graph(n, trial, &trial_seeds),
-                    None => {
-                        // Same derivation as the corpus builder's variant 0.
-                        let mut rng = trial_seeds.subsequence(1).child_rng(0);
-                        let (null, _) =
-                            degree_preserving_rewire(&original, SWAPS_PER_EDGE, &mut rng)
-                                .expect("BA samples are simple graphs");
-                        Arc::new(null)
-                    }
-                };
-                // A stored variant is a load; an on-the-fly rewire is
-                // generation work.
-                let rewire_ns = elapsed_ns(rewire_start);
-                if variant_source.is_some() {
-                    obs.phases.load_ns += rewire_ns;
-                } else {
-                    obs.phases.generate_ns += rewire_ns;
-                }
-                let resolutions_before = scratch.view().edge_resolutions();
-                let resets_before = scratch.view().resets();
-                let m = &mut obs.metrics;
-                let requests_before = m.requests;
-                // lint: allow(clock-env): profile/phase wall-clock, reported in telemetry records, never aggregated
-                let search_start = std::time::Instant::now();
-                let mut measures = Vec::with_capacity(VARIANTS.len() * SEARCHERS.len());
-                for (v_idx, graph) in [&original, &rewired].into_iter().enumerate() {
-                    let actual = graph.node_count();
-                    let task = SearchTask::new(NodeId::from_label(1), NodeId::from_label(actual))
-                        .with_criterion(SuccessCriterion::DiscoverTarget)
-                        .with_budget(budget_multiplier * actual);
-                    for s_idx in 0..SEARCHERS.len() {
-                        let lane_idx = v_idx * SEARCHERS.len() + s_idx;
-                        let mut rng = trial_seeds.child_rng(1 + lane_idx as u64);
-                        let searcher = &mut searchers[lane_idx];
-                        let rescans_before = searcher.frontier_rescans();
-                        let outcome = run_weak_in(scratch, graph, &task, &mut **searcher, &mut rng)
-                            .expect("suite searchers never violate the protocol");
-                        m.requests += outcome.requests as u64;
-                        m.discoveries += outcome.discovered as u64;
-                        m.frontier_rescans += searcher.frontier_rescans() - rescans_before;
-                        measures.push(nonsearch_engine::TrialMeasure::new(
-                            outcome.requests as f64,
-                            outcome.found,
-                        ));
-                    }
-                }
-                let search_ns = elapsed_ns(search_start);
-                // lint: allow(clock-env): profile/phase wall-clock, reported in telemetry records, never aggregated
-                let harvest_start = std::time::Instant::now();
-                m.edge_resolutions += scratch.view().edge_resolutions() - resolutions_before;
-                m.scratch_resets += scratch.view().resets() - resets_before;
-                m.observe_trial_requests(m.requests - requests_before);
-                obs.phases.search_ns += search_ns;
-                obs.phases.harvest_ns += elapsed_ns(harvest_start);
-                measures
-            },
-        );
-        let wall_ms = cell_start.elapsed().as_secs_f64() * 1e3;
-        let metrics = obs.metrics;
+        let lane_count = VARIANTS.len() * SEARCHERS.len();
+        let threads = ctx.options.threads;
+        let (lanes, telemetry) = CellTelemetry::measure(trial_count, lane_count, threads, || {
+            run_lanes_observed(
+                trial_count,
+                lane_count,
+                threads,
+                &size_seeds,
+                // Per-worker pool: one scratch plus one instance of each
+                // searcher per variant lane, reused across trials.
+                || {
+                    (
+                        SearchScratch::new(),
+                        (0..lane_count)
+                            .map(|i| SEARCHERS[i % SEARCHERS.len()].build())
+                            .collect::<Vec<_>>(),
+                    )
+                },
+                |(scratch, searchers), obs, trial, trial_seeds| {
+                    let original =
+                        original_source.timed_trial_graph(n, trial, &trial_seeds, &mut obs.phases);
+                    let rewired = match &variant_source {
+                        Some(source) => {
+                            source.timed_trial_graph(n, trial, &trial_seeds, &mut obs.phases)
+                        }
+                        // An on-the-fly rewire is generation work, with
+                        // the same derivation as the corpus builder's
+                        // variant 0.
+                        None => timed(&mut obs.phases.generate_ns, || {
+                            let mut rng = trial_seeds.subsequence(1).child_rng(0);
+                            let (null, _) =
+                                degree_preserving_rewire(&original, SWAPS_PER_EDGE, &mut rng)
+                                    .expect("BA samples are simple graphs");
+                            Arc::new(null)
+                        }),
+                    };
+                    // Lanes run variant-major: lane `v * SEARCHERS.len() + s`
+                    // is searcher `s` on variant `v`.
+                    let variant = |lane: usize| {
+                        let graph = [&*original, &*rewired][lane / SEARCHERS.len()];
+                        let actual = graph.node_count();
+                        let task =
+                            SearchTask::new(NodeId::from_label(1), NodeId::from_label(actual))
+                                .with_criterion(SuccessCriterion::DiscoverTarget)
+                                .with_budget(budget_multiplier * actual);
+                        (graph, task)
+                    };
+                    let mut measures = Vec::with_capacity(lane_count);
+                    search_trial(
+                        scratch,
+                        searchers,
+                        variant,
+                        &trial_seeds,
+                        &mut obs.metrics,
+                        &mut obs.phases,
+                        |o| measures.push(TrialMeasure::new(o.requests as f64, o.found)),
+                    )
+                    .expect("suite searchers never violate the protocol");
+                    measures
+                },
+            )
+        });
 
         for (lane_idx, lane) in lanes.iter().enumerate() {
             let v_idx = lane_idx / SEARCHERS.len();
@@ -201,43 +175,15 @@ fn run(ctx: &mut ExpContext) {
                 .expect("write cell record");
         }
         if ctx.options.profile {
-            let requests = metrics.requests;
             ctx.writer
-                .record_profile(vec![
-                    ("model", JsonValue::from("barabasi-albert")),
-                    ("n", JsonValue::from(n)),
-                    ("trials", JsonValue::from(trial_count)),
-                    ("lanes", JsonValue::from(lanes.len())),
-                    ("requests", JsonValue::from(requests)),
-                    ("wall_ms", JsonValue::from(wall_ms)),
-                    (
-                        "requests_per_sec",
-                        JsonValue::from(requests as f64 / (wall_ms / 1e3).max(f64::EPSILON)),
-                    ),
-                ])
-                .expect("write profile record");
-            ctx.writer
-                .record_metrics(
+                .record_cell_telemetry(
                     vec![
                         ("model", JsonValue::from("barabasi-albert")),
                         ("n", JsonValue::from(n)),
                     ],
-                    &metrics,
+                    &telemetry,
                 )
-                .expect("write metrics record");
-            ctx.writer
-                .record_resource(
-                    vec![
-                        ("model", JsonValue::from("barabasi-albert")),
-                        ("n", JsonValue::from(n)),
-                    ],
-                    wall_ms as u64,
-                    resolved_workers(ctx.options.threads, trial_count),
-                    &obs.phases,
-                    obs.allocations,
-                    &ResourceSample::current(),
-                )
-                .expect("write resource record");
+                .expect("write telemetry records");
         }
     }
     println!("{table}");

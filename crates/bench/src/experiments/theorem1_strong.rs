@@ -50,7 +50,7 @@ fn run(ctx: &mut ExpContext) {
                     .subsequence((p * 100.0) as u64)
                     .subsequence(i as u64)
                     .subsequence(kind.name().len() as u64);
-                let cell = strong_cell_from(
+                let (lane, cell) = strong_cell_from(
                     &*source,
                     n,
                     *kind,
@@ -61,9 +61,9 @@ fn run(ctx: &mut ExpContext) {
                 table.row(vec![
                     kind.name().to_string(),
                     n.to_string(),
-                    format!("{:.1}", cell.mean),
-                    format!("{:.1}", cell.ci95),
-                    format!("{:.2}", cell.success),
+                    format!("{:.1}", lane.mean()),
+                    format!("{:.1}", lane.ci95()),
+                    format!("{:.2}", lane.success_rate()),
                 ]);
                 ctx.writer
                     .record_cell(vec![
@@ -74,52 +74,25 @@ fn run(ctx: &mut ExpContext) {
                         ("n", JsonValue::from(n)),
                         ("trials", JsonValue::from(trial_count)),
                         ("seed", JsonValue::from(ctx.seed)),
-                        ("mean", JsonValue::from(cell.mean)),
-                        ("ci95", JsonValue::from(cell.ci95)),
-                        ("success", JsonValue::from(cell.success)),
+                        ("mean", JsonValue::from(lane.mean())),
+                        ("ci95", JsonValue::from(lane.ci95())),
+                        ("success", JsonValue::from(lane.success_rate())),
                     ])
                     .expect("write cell record");
                 if ctx.options.profile {
                     ctx.writer
-                        .record_profile(vec![
-                            ("model", JsonValue::from("mori")),
-                            ("p", JsonValue::from(p)),
-                            ("searcher", JsonValue::from(kind.name())),
-                            ("n", JsonValue::from(n)),
-                            ("trials", JsonValue::from(trial_count)),
-                            ("requests", JsonValue::from(cell.metrics.requests)),
-                            ("wall_ms", JsonValue::from(cell.wall_ms)),
-                            ("requests_per_sec", JsonValue::from(cell.requests_per_sec)),
-                        ])
-                        .expect("write profile record");
-                    ctx.writer
-                        .record_metrics(
+                        .record_cell_telemetry(
                             vec![
                                 ("model", JsonValue::from("mori")),
                                 ("p", JsonValue::from(p)),
                                 ("searcher", JsonValue::from(kind.name())),
                                 ("n", JsonValue::from(n)),
                             ],
-                            &cell.metrics,
+                            &cell,
                         )
-                        .expect("write metrics record");
-                    ctx.writer
-                        .record_resource(
-                            vec![
-                                ("model", JsonValue::from("mori")),
-                                ("p", JsonValue::from(p)),
-                                ("searcher", JsonValue::from(kind.name())),
-                                ("n", JsonValue::from(n)),
-                            ],
-                            cell.wall_ms as u64,
-                            cell.workers,
-                            &cell.phases,
-                            cell.allocations,
-                            &cell.resource,
-                        )
-                        .expect("write resource record");
+                        .expect("write telemetry records");
                 }
-                series.push((n, cell.mean));
+                series.push((n, lane.mean()));
             }
             // Track the cheapest searcher at the largest size.
             if best_series.is_empty()

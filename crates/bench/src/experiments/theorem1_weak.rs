@@ -85,49 +85,18 @@ fn run(ctx: &mut ExpContext) {
             }
 
             if ctx.options.profile {
-                for profile in &report.profiles {
+                for (profile, &n) in report.profiles.iter().zip(&sizes) {
                     ctx.writer
-                        .record_profile(vec![
-                            ("model", JsonValue::from("mori")),
-                            ("p", JsonValue::from(p)),
-                            ("m", JsonValue::from(m)),
-                            ("n", JsonValue::from(profile.n)),
-                            ("trials", JsonValue::from(profile.trials)),
-                            ("lanes", JsonValue::from(profile.lanes)),
-                            ("requests", JsonValue::from(profile.requests)),
-                            ("wall_ms", JsonValue::from(profile.wall_ms)),
-                            (
-                                "requests_per_sec",
-                                JsonValue::from(profile.requests_per_sec),
-                            ),
-                        ])
-                        .expect("write profile record");
-                    ctx.writer
-                        .record_metrics(
+                        .record_cell_telemetry(
                             vec![
                                 ("model", JsonValue::from("mori")),
                                 ("p", JsonValue::from(p)),
                                 ("m", JsonValue::from(m)),
-                                ("n", JsonValue::from(profile.n)),
+                                ("n", JsonValue::from(n)),
                             ],
-                            &profile.metrics,
+                            profile,
                         )
-                        .expect("write metrics record");
-                    ctx.writer
-                        .record_resource(
-                            vec![
-                                ("model", JsonValue::from("mori")),
-                                ("p", JsonValue::from(p)),
-                                ("m", JsonValue::from(m)),
-                                ("n", JsonValue::from(profile.n)),
-                            ],
-                            profile.wall_ms as u64,
-                            profile.workers,
-                            &profile.phases,
-                            profile.allocations,
-                            &profile.resource,
-                        )
-                        .expect("write resource record");
+                        .expect("write telemetry records");
                 }
             }
 

@@ -7,12 +7,13 @@
 //! `--quick`, `--threads`, `--seed`, `--out`, `--format`, `--trials`,
 //! `--sizes` — parsed once into [`CliOptions`].
 //!
-//! The cell helpers here ([`strong_cell`], [`weak_cell_with_policy`])
-//! execute on the `nonsearch_engine` trial runner: sharded across worker
-//! threads, per-trial RNG streams derived from the trial index, streamed
-//! aggregation in strict trial order — so their numbers are bit-identical
-//! for any thread count (and match the historical sequential loops'
-//! trial seeding).
+//! The cell helpers here ([`strong_cell_from`],
+//! [`weak_cell_with_policy_from`]) take their trial graphs from a
+//! [`GraphSource`] and execute on the `nonsearch_engine` trial runner:
+//! sharded across worker threads, per-trial RNG streams derived from
+//! the trial index, streamed aggregation in strict trial order — so
+//! their numbers are bit-identical for any thread count (and match the
+//! historical sequential loops' trial seeding).
 
 #![forbid(unsafe_code)]
 
@@ -20,15 +21,13 @@ pub mod bench_suite;
 pub mod chaos;
 pub mod experiments;
 
-use nonsearch_core::{GraphModel, ModelSource};
 use nonsearch_engine::{
-    resolved_workers, run_cell_observed, CliOptions, GraphSource, TrialMeasure, TrialObs,
+    run_lanes_observed, CellTelemetry, CliOptions, GraphSource, LaneAggregate, TrialMeasure,
 };
 use nonsearch_generators::SeedSequence;
 use nonsearch_graph::NodeId;
-use nonsearch_obs::{elapsed_ns, Metrics, PhaseTimes, ResourceSample};
 use nonsearch_search::{
-    run_strong_in, run_weak_in, SearchScratch, SearchTask, StrongSearcher, SuccessCriterion,
+    search_trial, LaneSearcher, SearchScratch, SearchTask, StrongSearcher, SuccessCriterion,
 };
 
 /// `true` when the caller asked for a reduced sweep (`--quick` or
@@ -56,63 +55,6 @@ pub fn banner(id: &str, claim: &str) {
         println!("mode: QUICK (reduced sweep; run without --quick for the full table)");
     }
     println!();
-}
-
-/// Aggregated measurement of one (model, size, searcher) cell.
-///
-/// `mean`/`ci95`/`success` are deterministic (bit-identical for any
-/// thread count); `wall_ms`/`requests_per_sec` are volatile wall-clock
-/// throughput for `--profile` reporting and never belong in cell
-/// records.
-#[derive(Debug, Clone, Copy)]
-pub struct CellStats {
-    /// Mean request count.
-    pub mean: f64,
-    /// 95% CI half-width.
-    pub ci95: f64,
-    /// Fraction of trials that found the target.
-    pub success: f64,
-    /// Wall-clock time of the whole cell in milliseconds.
-    pub wall_ms: f64,
-    /// Total requests across trials divided by wall seconds.
-    pub requests_per_sec: f64,
-    /// Deterministically merged per-worker counters for the cell
-    /// (exact u64 sums, bit-identical for any thread count).
-    pub metrics: Metrics,
-    /// Merged per-worker phase timers (generate / load / search /
-    /// harvest / merge) — volatile CPU-side busy time, like `wall_ms`.
-    pub phases: PhaseTimes,
-    /// Heap allocations during trial bodies (zero unless the binary
-    /// installs `nonsearch_alloc_counter::CountingAllocator`).
-    pub allocations: u64,
-    /// Process-wide resource sample taken when the cell finished.
-    pub resource: ResourceSample,
-    /// Worker threads the engine actually ran for this cell.
-    pub workers: usize,
-}
-
-impl CellStats {
-    fn from_lane(
-        lane: &nonsearch_engine::LaneAggregate,
-        wall_ms: f64,
-        obs: TrialObs,
-        workers: usize,
-    ) -> CellStats {
-        CellStats {
-            mean: lane.mean(),
-            ci95: lane.ci95(),
-            success: lane.success_rate(),
-            wall_ms,
-            requests_per_sec: obs.metrics.requests as f64 / (wall_ms / 1e3).max(f64::EPSILON),
-            metrics: obs.metrics,
-            phases: obs.phases,
-            allocations: obs.allocations,
-            // Sampled outside the trial hot path (reading /proc
-            // allocates), after every trial has finished.
-            resource: ResourceSample::current(),
-            workers,
-        }
-    }
 }
 
 /// Strong-model searcher selection for the Theorem 1 strong experiments.
@@ -155,29 +97,10 @@ impl StrongKind {
     }
 }
 
-/// Measures a strong-model searcher on `model` at size `n` — mean
-/// requests to find the newest vertex from vertex 1 — on `threads`
-/// engine workers (0 = all cores).
-pub fn strong_cell<M: GraphModel + Sync>(
-    model: &M,
-    n: usize,
-    kind: StrongKind,
-    trial_count: usize,
-    threads: usize,
-    seeds: &SeedSequence,
-) -> CellStats {
-    strong_cell_from(
-        &ModelSource::new(model),
-        n,
-        kind,
-        trial_count,
-        threads,
-        seeds,
-    )
-}
-
-/// [`strong_cell`] with the trial graphs supplied by an arbitrary
-/// [`GraphSource`] (generate-per-trial or corpus-backed).
+/// Measures a strong-model searcher at size `n` — mean requests to
+/// find the newest vertex from vertex 1 — with the trial graphs
+/// supplied by `source` (generate-per-trial or corpus-backed), on
+/// `threads` engine workers (0 = all cores).
 pub fn strong_cell_from(
     source: &(impl GraphSource + ?Sized),
     n: usize,
@@ -185,57 +108,61 @@ pub fn strong_cell_from(
     trial_count: usize,
     threads: usize,
     seeds: &SeedSequence,
-) -> CellStats {
-    // Per-worker pool: scratch + searcher built once, reused (and reset)
-    // across all of the worker's trials.
-    // lint: allow(clock-env): profile/phase wall-clock, reported in telemetry records, never aggregated
-    let start = std::time::Instant::now();
-    let (lane, obs) = run_cell_observed(
+) -> (LaneAggregate, CellTelemetry) {
+    single_lane_cell(
+        source,
+        n,
+        || kind.build(),
+        |actual, _| {
+            SearchTask::new(NodeId::from_label(1), NodeId::from_label(actual))
+                .with_budget(50 * actual)
+        },
         trial_count,
         threads,
         seeds,
-        || (SearchScratch::new(), kind.build()),
-        |(scratch, searcher), obs, trial, cell_seeds| {
-            // lint: allow(clock-env): profile/phase wall-clock, reported in telemetry records, never aggregated
-            let fetch_start = std::time::Instant::now();
-            let graph = source.trial_graph(n, trial, &cell_seeds);
-            let fetch_ns = elapsed_ns(fetch_start);
-            if source.is_stored() {
-                obs.phases.load_ns += fetch_ns;
-            } else {
-                obs.phases.generate_ns += fetch_ns;
-            }
-            let actual = graph.node_count();
-            let task = SearchTask::new(NodeId::from_label(1), NodeId::from_label(actual))
-                .with_budget(50 * actual);
-            let mut search_rng = cell_seeds.child_rng(1);
-            let resolutions_before = scratch.view().edge_resolutions();
-            let resets_before = scratch.view().resets();
-            let rescans_before = searcher.frontier_rescans();
-            // lint: allow(clock-env): profile/phase wall-clock, reported in telemetry records, never aggregated
-            let search_start = std::time::Instant::now();
-            let outcome = run_strong_in(scratch, &graph, &task, &mut **searcher, &mut search_rng)
-                .expect("suite searchers never violate the protocol");
-            obs.phases.search_ns += elapsed_ns(search_start);
-            // lint: allow(clock-env): profile/phase wall-clock, reported in telemetry records, never aggregated
-            let harvest_start = std::time::Instant::now();
-            let m = &mut obs.metrics;
-            m.requests += outcome.requests as u64;
-            m.discoveries += outcome.discovered as u64;
-            m.frontier_rescans += searcher.frontier_rescans() - rescans_before;
-            m.edge_resolutions += scratch.view().edge_resolutions() - resolutions_before;
-            m.scratch_resets += scratch.view().resets() - resets_before;
-            m.observe_trial_requests(outcome.requests as u64);
-            obs.phases.harvest_ns += elapsed_ns(harvest_start);
-            TrialMeasure::new(outcome.requests as f64, outcome.found)
-        },
-    );
-    CellStats::from_lane(
-        &lane,
-        start.elapsed().as_secs_f64() * 1e3,
-        obs,
-        resolved_workers(threads, trial_count),
     )
+}
+
+/// One single-lane cell: each trial runs a `build()` searcher, pooled
+/// per worker, on the trial's graph from `source` with the task
+/// `task(graph size, trial seeds)`.
+fn single_lane_cell<S: LaneSearcher + ?Sized>(
+    source: &(impl GraphSource + ?Sized),
+    n: usize,
+    build: impl Fn() -> Box<S> + Sync,
+    task: impl Fn(usize, &SeedSequence) -> SearchTask + Sync,
+    trial_count: usize,
+    threads: usize,
+    seeds: &SeedSequence,
+) -> (LaneAggregate, CellTelemetry) {
+    let (lanes, telemetry) = CellTelemetry::measure(trial_count, 1, threads, || {
+        run_lanes_observed(
+            trial_count,
+            1,
+            threads,
+            seeds,
+            // Per-worker pool: scratch + searcher built once, reused (and
+            // reset) across all of the worker's trials.
+            || (SearchScratch::new(), [build()]),
+            |(scratch, searcher), obs, trial, cell_seeds| {
+                let graph = source.timed_trial_graph(n, trial, &cell_seeds, &mut obs.phases);
+                let task = task(graph.node_count(), &cell_seeds);
+                let mut measures = Vec::with_capacity(1);
+                search_trial(
+                    scratch,
+                    searcher,
+                    |_| (&*graph, task),
+                    &cell_seeds,
+                    &mut obs.metrics,
+                    &mut obs.phases,
+                    |o| measures.push(TrialMeasure::new(o.requests as f64, o.found)),
+                )
+                .expect("suite searchers never violate the protocol");
+                measures
+            },
+        )
+    });
+    (lanes[0], telemetry)
 }
 
 /// Where the searcher starts.
@@ -269,36 +196,10 @@ impl StartPolicy {
     }
 }
 
-/// Measures a weak-model searcher on `model` at size `n` with explicit
-/// start/criterion policy (used by the ablation experiment), on
-/// `threads` engine workers (0 = all cores).
-#[allow(clippy::too_many_arguments)]
-pub fn weak_cell_with_policy<M: GraphModel + Sync>(
-    model: &M,
-    n: usize,
-    kind: nonsearch_search::SearcherKind,
-    criterion: SuccessCriterion,
-    start_policy: StartPolicy,
-    trial_count: usize,
-    budget_multiplier: usize,
-    threads: usize,
-    seeds: &SeedSequence,
-) -> CellStats {
-    weak_cell_with_policy_from(
-        &ModelSource::new(model),
-        n,
-        kind,
-        criterion,
-        start_policy,
-        trial_count,
-        budget_multiplier,
-        threads,
-        seeds,
-    )
-}
-
-/// [`weak_cell_with_policy`] with the trial graphs supplied by an
-/// arbitrary [`GraphSource`].
+/// Measures a weak-model searcher at size `n` with explicit
+/// start/criterion policy (used by the ablation experiment), with the
+/// trial graphs supplied by `source`, on `threads` engine workers
+/// (0 = all cores).
 ///
 /// Per-trial child streams: `0` the graph (inside generate-backed
 /// sources), `1` the searcher, `2` the start-policy pick — each on its
@@ -315,75 +216,41 @@ pub fn weak_cell_with_policy_from(
     budget_multiplier: usize,
     threads: usize,
     seeds: &SeedSequence,
-) -> CellStats {
-    // lint: allow(clock-env): profile/phase wall-clock, reported in telemetry records, never aggregated
-    let start = std::time::Instant::now();
-    let (lane, obs) = run_cell_observed(
+) -> (LaneAggregate, CellTelemetry) {
+    single_lane_cell(
+        source,
+        n,
+        || kind.build(),
+        |actual, cell_seeds| {
+            let start = start_policy.pick(actual, &mut cell_seeds.child_rng(2));
+            SearchTask::new(start, NodeId::from_label(actual))
+                .with_criterion(criterion)
+                .with_budget(budget_multiplier * actual)
+        },
         trial_count,
         threads,
         seeds,
-        || (SearchScratch::new(), kind.build()),
-        |(scratch, searcher), obs, trial, cell_seeds| {
-            // lint: allow(clock-env): profile/phase wall-clock, reported in telemetry records, never aggregated
-            let fetch_start = std::time::Instant::now();
-            let graph = source.trial_graph(n, trial, &cell_seeds);
-            let fetch_ns = elapsed_ns(fetch_start);
-            if source.is_stored() {
-                obs.phases.load_ns += fetch_ns;
-            } else {
-                obs.phases.generate_ns += fetch_ns;
-            }
-            let actual = graph.node_count();
-            let start = start_policy.pick(actual, &mut cell_seeds.child_rng(2));
-            let task = SearchTask::new(start, NodeId::from_label(actual))
-                .with_criterion(criterion)
-                .with_budget(budget_multiplier * actual);
-            let mut search_rng = cell_seeds.child_rng(1);
-            let resolutions_before = scratch.view().edge_resolutions();
-            let resets_before = scratch.view().resets();
-            let rescans_before = searcher.frontier_rescans();
-            // lint: allow(clock-env): profile/phase wall-clock, reported in telemetry records, never aggregated
-            let search_start = std::time::Instant::now();
-            let outcome = run_weak_in(scratch, &graph, &task, &mut **searcher, &mut search_rng)
-                .expect("suite searchers never violate the protocol");
-            obs.phases.search_ns += elapsed_ns(search_start);
-            // lint: allow(clock-env): profile/phase wall-clock, reported in telemetry records, never aggregated
-            let harvest_start = std::time::Instant::now();
-            let m = &mut obs.metrics;
-            m.requests += outcome.requests as u64;
-            m.discoveries += outcome.discovered as u64;
-            m.frontier_rescans += searcher.frontier_rescans() - rescans_before;
-            m.edge_resolutions += scratch.view().edge_resolutions() - resolutions_before;
-            m.scratch_resets += scratch.view().resets() - resets_before;
-            m.observe_trial_requests(outcome.requests as u64);
-            obs.phases.harvest_ns += elapsed_ns(harvest_start);
-            TrialMeasure::new(outcome.requests as f64, outcome.found)
-        },
-    );
-    CellStats::from_lane(
-        &lane,
-        start.elapsed().as_secs_f64() * 1e3,
-        obs,
-        resolved_workers(threads, trial_count),
     )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nonsearch_core::MergedMoriModel;
+    use nonsearch_core::{MergedMoriModel, ModelSource};
     use nonsearch_search::SearcherKind;
 
     #[test]
     fn strong_cell_measures_something() {
         let model = MergedMoriModel { p: 0.5, m: 1 };
         let seeds = SeedSequence::new(1);
-        let cell = strong_cell(&model, 256, StrongKind::HighDegree, 4, 0, &seeds);
-        assert!(cell.mean > 0.0);
-        assert!(cell.success > 0.9);
+        let source = ModelSource::new(&model);
+        let (lane, cell) = strong_cell_from(&source, 256, StrongKind::HighDegree, 4, 0, &seeds);
+        assert!(lane.mean() > 0.0);
+        assert!(lane.success_rate() > 0.9);
         assert!(cell.wall_ms >= 0.0);
-        assert!(cell.requests_per_sec > 0.0);
-        assert!(cell.requests_per_sec.is_finite());
+        assert!(cell.requests_per_sec() > 0.0);
+        assert!(cell.requests_per_sec().is_finite());
+        assert_eq!((cell.trials, cell.lanes), (4, 1));
         assert_eq!(cell.metrics.trials, 4);
         assert_eq!(cell.metrics.trial_requests.total(), 4);
         assert!(cell.metrics.requests > 0);
@@ -410,8 +277,8 @@ mod tests {
             StartPolicy::Uniform,
             StartPolicy::NearTarget,
         ] {
-            let cell = weak_cell_with_policy(
-                &model,
+            let (lane, _) = weak_cell_with_policy_from(
+                &ModelSource::new(&model),
                 256,
                 SearcherKind::BfsFlood,
                 SuccessCriterion::DiscoverTarget,
@@ -421,7 +288,7 @@ mod tests {
                 0,
                 &seeds,
             );
-            assert!(cell.success > 0.9, "{}", policy.name());
+            assert!(lane.success_rate() > 0.9, "{}", policy.name());
         }
     }
 
@@ -429,12 +296,11 @@ mod tests {
     fn cells_are_bit_identical_across_thread_counts() {
         let model = MergedMoriModel { p: 0.5, m: 1 };
         let seeds = SeedSequence::new(3);
-        let a = strong_cell(&model, 128, StrongKind::Bfs, 6, 1, &seeds);
-        let b = strong_cell(&model, 128, StrongKind::Bfs, 6, 4, &seeds);
-        assert_eq!(a.mean, b.mean);
-        assert_eq!(a.ci95, b.ci95);
-        assert_eq!(a.success, b.success);
-        assert_eq!(a.metrics, b.metrics);
+        let source = ModelSource::new(&model);
+        let (a, a_cell) = strong_cell_from(&source, 128, StrongKind::Bfs, 6, 1, &seeds);
+        let (b, b_cell) = strong_cell_from(&source, 128, StrongKind::Bfs, 6, 4, &seeds);
+        assert_eq!(a, b);
+        assert_eq!(a_cell.metrics, b_cell.metrics);
     }
 
     #[test]

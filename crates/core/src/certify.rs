@@ -10,12 +10,12 @@
 
 use crate::model::GraphModel;
 use nonsearch_analysis::{fit_log_log, LinearFit, Table};
-use nonsearch_engine::{resolved_workers, run_lanes_observed, GraphSource, TrialMeasure, TrialObs};
+use nonsearch_engine::{run_lanes_observed, CellTelemetry, GraphSource, TrialMeasure};
 use nonsearch_generators::SeedSequence;
 use nonsearch_graph::NodeId;
-use nonsearch_obs::{elapsed_ns, Metrics, PhaseTimes, ResourceSample, Tracer};
+use nonsearch_obs::Tracer;
 use nonsearch_search::{
-    run_weak_in, SearchScratch, SearchTask, SearcherKind, SuccessCriterion, WeakSearcher,
+    search_trial, SearchScratch, SearchTask, SearcherKind, SuccessCriterion, WeakSearcher,
 };
 use std::fmt;
 
@@ -96,45 +96,6 @@ impl AlgorithmScaling {
     }
 }
 
-/// Throughput of one certification cell: all lanes (searchers) of one
-/// graph size, timed around the engine call.
-///
-/// Unlike [`ScalingPoint`]s, profiles carry volatile wall-clock data —
-/// they exist for `--profile`-style reporting and regression tracking
-/// against the `xp bench` suite record, never for determinism checks.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CellProfile {
-    /// Requested model size.
-    pub n: usize,
-    /// Trials per lane.
-    pub trials: usize,
-    /// Lanes (searchers) raced per trial.
-    pub lanes: usize,
-    /// Wall-clock time of the whole cell in milliseconds.
-    pub wall_ms: f64,
-    /// Total oracle requests served across all lanes and trials — the
-    /// exact `metrics.requests` count.
-    pub requests: u64,
-    /// `requests` divided by the cell's wall time in seconds.
-    pub requests_per_sec: f64,
-    /// The cell's merged engine metrics — exact counters folded in
-    /// strict trial order, bit-identical for any thread count (unlike
-    /// the wall-clock fields around them).
-    pub metrics: Metrics,
-    /// Merged per-worker phase timers (generate / load / search /
-    /// harvest / merge) — CPU-side busy time, volatile like `wall_ms`.
-    pub phases: PhaseTimes,
-    /// Heap allocations during trial bodies, harvested from the
-    /// per-thread counting allocator (zero unless the binary installs
-    /// `nonsearch_alloc_counter::CountingAllocator`).
-    pub allocations: u64,
-    /// Process-wide resource sample (peak RSS, faults, context
-    /// switches) taken once when the cell finishes.
-    pub resource: ResourceSample,
-    /// Worker threads the engine actually ran for this cell.
-    pub workers: usize,
-}
-
 /// The certification verdict for one model.
 #[derive(Debug, Clone)]
 pub struct SearchabilityReport {
@@ -142,8 +103,9 @@ pub struct SearchabilityReport {
     pub model: String,
     /// Per-algorithm scaling results.
     pub algorithms: Vec<AlgorithmScaling>,
-    /// One throughput profile per swept size, in sweep order.
-    pub profiles: Vec<CellProfile>,
+    /// One telemetry block per swept size (all lanes of the size
+    /// cell), in the order of [`CertifyConfig::sizes`].
+    pub profiles: Vec<CellTelemetry>,
     /// The exponent the paper proves no algorithm can beat (1/2 for the
     /// weak model).
     pub theoretical_exponent: f64,
@@ -241,35 +203,51 @@ pub fn certify_with_source(
     for (size_idx, &n) in config.sizes.iter().enumerate() {
         let size_seeds = seeds.subsequence(size_idx as u64);
         let _cell_span = config.tracer.span("size-cell");
-        // lint: allow(clock-env): profile/phase wall-clock, reported in telemetry records, never aggregated
-        let cell_start = std::time::Instant::now();
-        let (lanes, obs) = run_lanes_observed(
-            config.trials,
-            n_searchers,
-            config.threads,
-            &size_seeds,
-            // Per-worker pool: one scratch plus one instance of every
-            // searcher, allocated once per graph size and reused across
-            // all of the worker's trials (reset per run). Outcomes stay
-            // bit-identical to fresh-state runs. The pool also carries
-            // the worker's `trial-batch` span, so its guard records the
-            // worker's whole stint when the pool drops.
-            || TrialPool {
-                scratch: SearchScratch::new(),
-                searchers: config.searchers.iter().map(|kind| kind.build()).collect(),
-                _batch_span: config.tracer.span("trial-batch"),
-            },
-            |pool, obs, trial, trial_seeds| {
-                let _trial_span = config.tracer.span("trial");
-                run_one_trial(pool, obs, source, config, n, trial, &trial_seeds)
-            },
-        );
-        let wall_ms = cell_start.elapsed().as_secs_f64() * 1e3;
-        // Sampled outside the trial hot path: reading /proc allocates,
-        // but by now every trial has finished, so the allocation-free
-        // steady-state guarantee is untouched.
-        let resource = ResourceSample::current();
-        let metrics = obs.metrics;
+        let (lanes, telemetry) =
+            CellTelemetry::measure(config.trials, n_searchers, config.threads, || {
+                run_lanes_observed(
+                    config.trials,
+                    n_searchers,
+                    config.threads,
+                    &size_seeds,
+                    // Per-worker pool: one scratch plus one instance of
+                    // every searcher, allocated once per graph size and
+                    // reused across all of the worker's trials (reset per
+                    // run). Outcomes stay bit-identical to fresh-state
+                    // runs. The pool also carries the worker's
+                    // `trial-batch` span, so its guard records the
+                    // worker's whole stint when the pool drops.
+                    || TrialPool {
+                        scratch: SearchScratch::new(),
+                        searchers: config.searchers.iter().map(|kind| kind.build()).collect(),
+                        _batch_span: config.tracer.span("trial-batch"),
+                    },
+                    // One graph sample, every searcher raced on it: one
+                    // engine lane per searcher.
+                    |pool, obs, trial, trial_seeds| {
+                        let _trial_span = config.tracer.span("trial");
+                        let graph =
+                            source.timed_trial_graph(n, trial, &trial_seeds, &mut obs.phases);
+                        let actual = graph.node_count();
+                        let task =
+                            SearchTask::new(NodeId::from_label(1), NodeId::from_label(actual))
+                                .with_criterion(config.criterion)
+                                .with_budget(config.budget_multiplier * actual);
+                        let mut measures = Vec::with_capacity(n_searchers);
+                        search_trial(
+                            &mut pool.scratch,
+                            &mut pool.searchers,
+                            |_| (&*graph, task),
+                            &trial_seeds,
+                            &mut obs.metrics,
+                            &mut obs.phases,
+                            |o| measures.push(TrialMeasure::new(o.requests as f64, o.found)),
+                        )
+                        .expect("suite searchers never violate the protocol");
+                        measures
+                    },
+                )
+            });
         for (s_idx, lane) in lanes.iter().enumerate() {
             all_points[s_idx].push(ScalingPoint {
                 n,
@@ -278,19 +256,7 @@ pub fn certify_with_source(
                 success_rate: lane.success_rate(),
             });
         }
-        profiles.push(CellProfile {
-            n,
-            trials: config.trials,
-            lanes: n_searchers,
-            wall_ms,
-            requests: metrics.requests,
-            requests_per_sec: metrics.requests as f64 / (wall_ms / 1e3).max(f64::EPSILON),
-            metrics,
-            phases: obs.phases,
-            allocations: obs.allocations,
-            resource,
-            workers: resolved_workers(config.threads, config.trials),
-        });
+        profiles.push(telemetry);
     }
 
     let algorithms = config
@@ -320,80 +286,6 @@ struct TrialPool<'t> {
     scratch: SearchScratch,
     searchers: Vec<Box<dyn WeakSearcher>>,
     _batch_span: nonsearch_obs::SpanGuard<'t>,
-}
-
-/// One graph sample, all searchers raced on it — one engine lane per
-/// searcher, all running allocation-free on the worker's pool.
-///
-/// Counter deltas land in `obs.metrics`, the trial's zeroed [`Metrics`]
-/// bundle: requests and discoveries come off the search outcomes;
-/// frontier rescans off each searcher's cumulative counter; edge
-/// resolutions and scratch resets off the pooled view's cumulative
-/// counters. Reading counters never perturbs the search, so metered
-/// runs stay bit-identical to unmetered ones.
-///
-/// Phase nanoseconds land in `obs.phases`: graph fetch is charged to
-/// `generate` or `load` depending on [`GraphSource::is_stored`], the
-/// searcher race to `search`, and the trailing counter sweep to
-/// `harvest` (the consumer charges `merge` itself). Timer reads are
-/// integer adds off the monotonic clock, so the instrumented trial
-/// stays allocation-free and bit-identical to an untimed one.
-fn run_one_trial(
-    pool: &mut TrialPool<'_>,
-    obs: &mut TrialObs,
-    source: &(impl GraphSource + ?Sized),
-    config: &CertifyConfig,
-    n: usize,
-    trial: usize,
-    trial_seeds: &SeedSequence,
-) -> Vec<TrialMeasure> {
-    // lint: allow(clock-env): profile/phase wall-clock, reported in telemetry records, never aggregated
-    let fetch_start = std::time::Instant::now();
-    let graph = source.trial_graph(n, trial, trial_seeds);
-    let fetch_ns = elapsed_ns(fetch_start);
-    if source.is_stored() {
-        obs.phases.load_ns += fetch_ns;
-    } else {
-        obs.phases.generate_ns += fetch_ns;
-    }
-    let actual = graph.node_count();
-    let task = SearchTask::new(NodeId::from_label(1), NodeId::from_label(actual))
-        .with_criterion(config.criterion)
-        .with_budget(config.budget_multiplier * actual);
-    let TrialPool {
-        scratch, searchers, ..
-    } = pool;
-    let resolutions_before = scratch.view().edge_resolutions();
-    let resets_before = scratch.view().resets();
-    let m = &mut obs.metrics;
-    let requests_before = m.requests;
-    // lint: allow(clock-env): profile/phase wall-clock, reported in telemetry records, never aggregated
-    let search_start = std::time::Instant::now();
-    // Collected eagerly: the view's cumulative counters are read *after*
-    // every lane ran, so a lazily-evaluated map would under-count.
-    let measures: Vec<TrialMeasure> = searchers
-        .iter_mut()
-        .enumerate()
-        .map(|(s_idx, searcher)| {
-            let rescans_before = searcher.frontier_rescans();
-            let mut rng = trial_seeds.child_rng(1 + s_idx as u64);
-            let outcome = run_weak_in(scratch, &graph, &task, &mut **searcher, &mut rng)
-                .expect("suite searchers never violate the protocol");
-            m.requests += outcome.requests as u64;
-            m.discoveries += outcome.discovered as u64;
-            m.frontier_rescans += searcher.frontier_rescans() - rescans_before;
-            TrialMeasure::new(outcome.requests as f64, outcome.found)
-        })
-        .collect();
-    let search_ns = elapsed_ns(search_start);
-    // lint: allow(clock-env): profile/phase wall-clock, reported in telemetry records, never aggregated
-    let harvest_start = std::time::Instant::now();
-    m.edge_resolutions += scratch.view().edge_resolutions() - resolutions_before;
-    m.scratch_resets += scratch.view().resets() - resets_before;
-    m.observe_trial_requests(m.requests - requests_before);
-    obs.phases.search_ns += search_ns;
-    obs.phases.harvest_ns += elapsed_ns(harvest_start);
-    measures
 }
 
 #[cfg(test)]
@@ -437,24 +329,22 @@ mod tests {
         // equals the sum of per-lane means times the trial count.
         assert_eq!(report.profiles.len(), 3);
         for (profile, &n) in report.profiles.iter().zip(&[128usize, 256, 512]) {
-            assert_eq!(profile.n, n);
             assert_eq!(profile.trials, 6);
             assert_eq!(profile.lanes, 3);
-            assert!(profile.requests > 0);
-            assert!(profile.requests_per_sec > 0.0);
-            assert!(profile.requests_per_sec.is_finite());
+            assert!(profile.requests_per_sec() > 0.0);
+            assert!(profile.requests_per_sec().is_finite());
             let lane_sum: f64 = report
                 .algorithms
                 .iter()
                 .map(|a| a.points.iter().find(|p| p.n == n).unwrap().mean_requests * 6.0)
                 .sum();
-            assert!((profile.requests as f64 - lane_sum).abs() < 1e-6);
             // The merged metrics agree with the aggregates: exact
             // request totals, one histogram sample per trial, and
             // sane activity counters from the pooled oracle state.
             let m = &profile.metrics;
+            assert!(m.requests > 0);
+            assert!((m.requests as f64 - lane_sum).abs() < 1e-6);
             assert_eq!(m.trials, 6);
-            assert_eq!(m.requests, profile.requests);
             assert_eq!(m.trial_requests.total(), 6);
             assert!(m.discoveries > 0);
             assert!(m.edge_resolutions > 0);

@@ -47,7 +47,7 @@ mod theory;
 mod window;
 
 pub use certify::{
-    certify, certify_with_source, AlgorithmScaling, CellProfile, CertifyConfig, ScalingPoint,
+    certify, certify_with_source, AlgorithmScaling, CertifyConfig, ScalingPoint,
     SearchabilityReport,
 };
 pub use enumerate::{enumerate_mori_trees, FatherVector, TreeDistribution};

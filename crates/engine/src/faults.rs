@@ -7,10 +7,11 @@
 //! `(trial, attempt) -> Option<InjectedFault>` function, typically
 //! backed by a seeded `nonsearch_fault::FaultPlan` — plus an optional
 //! per-cell watchdog deadline. [`install_faults`] activates the bundle
-//! for the current thread and returns a guard; every `run_lanes*` call
-//! made while the guard lives snapshots the bundle at cell entry and
-//! runs its trials *contained* (each attempt wrapped in
-//! `catch_unwind`) instead of on the bare fast path.
+//! for the current thread and returns a guard; every
+//! `run_lanes_observed` call made while the guard lives snapshots the
+//! bundle at cell entry and runs its trials under it. Every trial runs
+//! *contained* (each attempt wrapped in `catch_unwind`), under
+//! `FaultInjection::default()` when no bundle is installed.
 //!
 //! The installation is **thread-local**, not process-global: `cargo
 //! test` runs many tests concurrently in one process, and a global
@@ -73,12 +74,12 @@ pub enum InjectedFault {
 /// `FaultPlan` hooks only ever fault attempt 0.
 pub type FaultHook = Arc<dyn Fn(usize, u32) -> Option<InjectedFault> + Send + Sync>;
 
-/// The fault-injection bundle the `run_lanes*` family snapshots at cell
+/// The fault-injection bundle `run_lanes_observed` snapshots at cell
 /// entry: injection hook, failure policy, and watchdog deadline.
 ///
 /// The default bundle (`FaultInjection::default()`) injects nothing,
-/// propagates panics, and sets no deadline — installing it merely
-/// routes trials through the contained (catch-unwind) execution path.
+/// propagates panics, and sets no deadline. It is what the runner uses
+/// when no bundle is installed, so installing it changes nothing.
 #[derive(Clone, Default)]
 pub struct FaultInjection {
     /// What to do when a trial attempt panics.

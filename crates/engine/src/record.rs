@@ -10,6 +10,7 @@
 
 use crate::json::JsonValue;
 use crate::options::{CliOptions, OutputFormat};
+use crate::runner::{resolved_workers, TrialObs};
 use nonsearch_obs::{Metrics, PhaseTimes, ResourceSample};
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
@@ -41,6 +42,69 @@ pub const DIAGNOSTIC_TYPE: &str = "diagnostic";
 /// The JSONL `type` tag of the `xp lint` report footer (file and
 /// finding counts for the whole pass).
 pub const LINT_TYPE: &str = "lint";
+
+/// What one measured cell's `profile`, `metrics` and `resource`
+/// records carry (see [`RunWriter::record_cell_telemetry`]).
+///
+/// `metrics` is exact and bit-identical for any thread count; every
+/// other field is wall-clock or environment data that varies run to
+/// run, which is why these records ride the JSONL stream only and
+/// never the determinism-gated cell lines.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CellTelemetry {
+    /// Trials per lane.
+    pub trials: usize,
+    /// Lanes (searchers) raced per trial.
+    pub lanes: usize,
+    /// Worker threads the engine actually ran for the cell.
+    pub workers: usize,
+    /// Wall-clock time of the whole cell in milliseconds.
+    pub wall_ms: f64,
+    /// The cell's merged engine counters, folded in strict trial order.
+    pub metrics: Metrics,
+    /// Merged per-worker phase timers (generate / load / search /
+    /// harvest / merge): CPU-side busy time.
+    pub phases: PhaseTimes,
+    /// Heap allocations during trial bodies (zero unless the binary
+    /// installs `nonsearch_alloc_counter::CountingAllocator`).
+    pub allocations: u64,
+    /// Process-wide resource sample taken when the cell finished.
+    pub resource: ResourceSample,
+}
+
+impl CellTelemetry {
+    /// Runs `cell` — one engine call over `trials` trials of `lanes`
+    /// lanes on `threads` workers (`0` = all cores) — and returns its
+    /// result together with the cell's telemetry.
+    pub fn measure<A>(
+        trials: usize,
+        lanes: usize,
+        threads: usize,
+        cell: impl FnOnce() -> (A, TrialObs),
+    ) -> (A, CellTelemetry) {
+        let start = Instant::now();
+        let (result, obs) = cell();
+        let wall_ms = start.elapsed().as_secs_f64() * 1e3;
+        let telemetry = CellTelemetry {
+            trials,
+            lanes,
+            workers: resolved_workers(threads, trials),
+            wall_ms,
+            metrics: obs.metrics,
+            phases: obs.phases,
+            allocations: obs.allocations,
+            // Sampled outside the trial hot path (reading /proc
+            // allocates), after every trial has finished.
+            resource: ResourceSample::current(),
+        };
+        (result, telemetry)
+    }
+
+    /// The cell's exact request total divided by its wall seconds.
+    pub fn requests_per_sec(&self) -> f64 {
+        self.metrics.requests as f64 / (self.wall_ms / 1e3).max(f64::EPSILON)
+    }
+}
 
 /// Sink for one experiment run's structured records.
 ///
@@ -201,13 +265,49 @@ impl RunWriter {
         Ok(())
     }
 
+    /// Writes one measured cell's `profile`, `metrics` and `resource`
+    /// records, each opening with the identifying `key` fields (model,
+    /// parameters, size, …).
+    ///
+    /// The profile record continues with `trials`, then `lanes` for a
+    /// multi-lane cell, then the exact `requests`, `wall_ms` and
+    /// `requests_per_sec`; the metrics record with
+    /// [`metrics_fields`]; the resource record with
+    /// [`resource_fields`].
+    pub fn record_cell_telemetry(
+        &mut self,
+        key: Vec<(&str, JsonValue)>,
+        cell: &CellTelemetry,
+    ) -> io::Result<()> {
+        let mut profile = key.clone();
+        profile.push(("trials", JsonValue::from(cell.trials)));
+        if cell.lanes > 1 {
+            profile.push(("lanes", JsonValue::from(cell.lanes)));
+        }
+        profile.extend([
+            ("requests", JsonValue::from(cell.metrics.requests)),
+            ("wall_ms", JsonValue::from(cell.wall_ms)),
+            ("requests_per_sec", JsonValue::from(cell.requests_per_sec())),
+        ]);
+        self.record_profile(profile)?;
+        self.record_metrics(key.clone(), &cell.metrics)?;
+        self.record_resource(
+            key,
+            cell.wall_ms as u64,
+            cell.workers,
+            &cell.phases,
+            cell.allocations,
+            &cell.resource,
+        )
+    }
+
     /// Writes one engine-metrics record: the identifying `fields` (model,
     /// size, …) followed by [`metrics_fields`]`(metrics)`. The counter
     /// values are deterministic (bit-identical for any `--threads`), but
     /// like profile records they ride the JSONL stream only, so the CSV
     /// header stays shaped by the cell rows and the determinism `cmp`
     /// gates keep filtering on `"type":"cell"`.
-    pub fn record_metrics(
+    fn record_metrics(
         &mut self,
         fields: Vec<(&str, JsonValue)>,
         metrics: &Metrics,
@@ -233,7 +333,7 @@ impl RunWriter {
     /// wall-clock phase timers and `/proc` samples — volatile by
     /// definition — so like profiles they ride the JSONL stream only
     /// and determinism `cmp` gates keep filtering on `"type":"cell"`.
-    pub fn record_resource(
+    fn record_resource(
         &mut self,
         fields: Vec<(&str, JsonValue)>,
         wall_ms: u64,
@@ -808,6 +908,84 @@ mod tests {
         assert!(!csv.contains("resource"));
         std::fs::remove_file(&path).ok();
         std::fs::remove_file(&csv_path).ok();
+    }
+
+    #[test]
+    fn cell_telemetry_writes_profile_metrics_and_resource_records() {
+        let path = temp_path("telemetry.jsonl");
+        let options = CliOptions {
+            out: Some(path.clone()),
+            ..CliOptions::default()
+        };
+        let mut w = RunWriter::create("demo", &options).unwrap();
+        let mut obs = TrialObs::new();
+        obs.metrics.trials = 4;
+        obs.metrics.requests = 100;
+        for _ in 0..4 {
+            obs.metrics.observe_trial_requests(25);
+        }
+        let (ran, one_lane) = CellTelemetry::measure(4, 1, 2, || ("ran", obs));
+        assert_eq!(ran, "ran");
+        assert_eq!(
+            (one_lane.trials, one_lane.lanes, one_lane.workers),
+            (4, 1, 2)
+        );
+        assert_eq!(one_lane.metrics, obs.metrics);
+        let three_lanes = CellTelemetry {
+            lanes: 3,
+            ..one_lane
+        };
+        for cell in [&one_lane, &three_lanes] {
+            let key = vec![
+                ("model", JsonValue::from("demo")),
+                ("n", JsonValue::from(64usize)),
+            ];
+            w.record_cell_telemetry(key, cell).unwrap();
+        }
+        w.finish(1).unwrap();
+
+        let text = std::fs::read_to_string(&path).unwrap();
+        let keys: Vec<Vec<String>> = text
+            .lines()
+            .map(|line| match json::parse(line).unwrap() {
+                JsonValue::Object(pairs) => pairs.into_iter().map(|(k, _)| k).collect(),
+                other => panic!("not an object: {other}"),
+            })
+            .collect();
+        let head = ["type", "experiment", "model", "n"];
+        let with_head = |tail: &[&str]| -> Vec<String> {
+            head.iter().chain(tail).map(|k| k.to_string()).collect()
+        };
+        let metric_keys: Vec<&str> = metrics_fields(&obs.metrics)
+            .iter()
+            .map(|(k, _)| *k)
+            .collect();
+        let resource_keys: Vec<&str> =
+            resource_fields(0, 1, &PhaseTimes::new(), 0, &ResourceSample::default())
+                .iter()
+                .map(|(k, _)| *k)
+                .collect();
+        // A single-lane profile has no `lanes` field; a multi-lane one has.
+        assert_eq!(
+            keys[0],
+            with_head(&["trials", "requests", "wall_ms", "requests_per_sec"])
+        );
+        assert_eq!(keys[1], with_head(&metric_keys));
+        assert_eq!(keys[2], with_head(&resource_keys));
+        assert_eq!(
+            keys[3],
+            with_head(&["trials", "lanes", "requests", "wall_ms", "requests_per_sec"])
+        );
+        let profile = json::parse(text.lines().next().unwrap()).unwrap();
+        assert_eq!(
+            profile.get("requests").and_then(|v| v.as_f64()),
+            Some(100.0)
+        );
+        let footer = json::parse(text.lines().last().unwrap()).unwrap();
+        for counter in ["profiles", "metrics", "resources"] {
+            assert_eq!(footer.get(counter).and_then(|v| v.as_f64()), Some(2.0));
+        }
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

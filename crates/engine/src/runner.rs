@@ -141,104 +141,6 @@ pub fn trial_seeds(seeds: &SeedSequence, trial: usize) -> SeedSequence {
     seeds.subsequence(trial as u64)
 }
 
-/// Runs `trials` repetitions of a multi-lane cell on `threads` workers
-/// (0 = all cores) and returns one aggregate per lane.
-///
-/// `trial_fn(trial, seeds)` must return exactly `lanes` measurements —
-/// one per lane, e.g. one per searcher raced on the trial's sampled
-/// graph. Aggregates are bit-identical for any thread count.
-///
-/// # Panics
-///
-/// Panics if `trial_fn` returns a lane count other than `lanes`, or if a
-/// worker panics (the panic is propagated).
-pub fn run_lanes<F>(
-    trials: usize,
-    lanes: usize,
-    threads: usize,
-    seeds: &SeedSequence,
-    trial_fn: F,
-) -> Vec<LaneAggregate>
-where
-    F: Fn(usize, SeedSequence) -> Vec<TrialMeasure> + Sync,
-{
-    run_lanes_with(
-        trials,
-        lanes,
-        threads,
-        seeds,
-        || (),
-        |(), trial, seeds| trial_fn(trial, seeds),
-    )
-}
-
-/// [`run_lanes`] with a per-worker mutable context — the scratch-pool
-/// seam for allocation-free trial loops.
-///
-/// Each worker thread calls `init()` once when it starts and hands the
-/// resulting value to every `trial_fn` invocation it runs, so
-/// expensive-to-build, reusable state (a `SearchScratch`, pooled
-/// searcher instances, …) is allocated once per worker per cell and
-/// reused across all of that worker's trials. The context never crosses
-/// threads (no `Send`/`Sync` bound) and must not influence results:
-/// determinism still comes from `(trial, seeds)` alone, so aggregates
-/// remain bit-identical for any thread count — which is exactly what
-/// the search layer's scratch-reuse tests assert.
-///
-/// # Panics
-///
-/// Same contract as [`run_lanes`].
-pub fn run_lanes_with<C, I, F>(
-    trials: usize,
-    lanes: usize,
-    threads: usize,
-    seeds: &SeedSequence,
-    init: I,
-    trial_fn: F,
-) -> Vec<LaneAggregate>
-where
-    I: Fn() -> C + Sync,
-    F: Fn(&mut C, usize, SeedSequence) -> Vec<TrialMeasure> + Sync,
-{
-    run_lanes_metered(trials, lanes, threads, seeds, init, |ctx, _m, trial, s| {
-        trial_fn(ctx, trial, s)
-    })
-    .0
-}
-
-/// [`run_lanes_with`] with a per-trial [`Metrics`] delta folded into one
-/// run-wide bundle — the observability seam.
-///
-/// Each `trial_fn` invocation receives a zeroed `Metrics` to fill with
-/// that trial's counters; the runner stamps `trials = 1` on the delta
-/// afterwards and the consumer merges deltas **in strict trial order**
-/// alongside the lane fold. `u64` counter addition is exact and
-/// associative, so the merged bundle — like the aggregates — is
-/// bit-identical for any thread count (and merge order would not even
-/// matter; the strict order is inherited from the lane fold for free).
-///
-/// # Panics
-///
-/// Same contract as [`run_lanes`].
-pub fn run_lanes_metered<C, I, F>(
-    trials: usize,
-    lanes: usize,
-    threads: usize,
-    seeds: &SeedSequence,
-    init: I,
-    trial_fn: F,
-) -> (Vec<LaneAggregate>, Metrics)
-where
-    I: Fn() -> C + Sync,
-    F: Fn(&mut C, &mut Metrics, usize, SeedSequence) -> Vec<TrialMeasure> + Sync,
-{
-    let (aggregates, obs) =
-        run_lanes_observed(trials, lanes, threads, seeds, init, |ctx, obs, trial, s| {
-            trial_fn(ctx, &mut obs.metrics, trial, s)
-        });
-    (aggregates, obs.metrics)
-}
-
 /// Locks the backpressure gate, recovering from poisoning.
 ///
 /// The guarded state is a plain `(folded count, aborted flag)` pair
@@ -250,10 +152,12 @@ fn lock_gate<'a>(frontier: &'a Mutex<(usize, bool)>) -> MutexGuard<'a, (usize, b
     frontier.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Runs one trial *contained*: each attempt is wrapped in
-/// `catch_unwind`, the installed hook may inject a fault ahead of the
-/// body, and the bundle's [`FailurePolicy`] decides whether a panicking
-/// attempt propagates, retries, or skips the trial.
+/// Runs one trial *contained* — the path of every trial: each attempt
+/// is wrapped in `catch_unwind`, the bundle's hook may inject a fault
+/// ahead of the body, and its [`FailurePolicy`] decides whether a
+/// panicking attempt propagates, retries, or skips the trial. The
+/// allocation delta is read from this worker thread's own counter, so
+/// concurrent workers never see each other's allocations.
 ///
 /// Returns `(Some(measures), delta)` for a (possibly retried) success —
 /// the delta carries the attempt's counters plus the fault bookkeeping —
@@ -320,35 +224,49 @@ where
     }
 }
 
-/// [`run_lanes_metered`] widened to the full [`TrialObs`] bundle —
-/// metrics plus phase timers plus allocation counts.
+/// Runs `trials` repetitions of a `lanes`-lane cell on `threads`
+/// workers (0 = all cores) and returns one aggregate per lane plus the
+/// cell's merged [`TrialObs`] — the engine's deterministic parallel
+/// *fold*.
 ///
-/// `trial_fn` receives a zeroed `TrialObs` per trial; instrumented
-/// call sites add phase nanoseconds to `obs.phases` with
-/// [`elapsed_ns`] readings around their generate/load/search/harvest
-/// sections, while the runner itself accounts for what trial bodies
-/// cannot see: it stamps `metrics.trials = 1`, harvests the worker
-/// thread's heap-allocation delta across the trial body into
-/// `obs.allocations`, and charges the consumer's reorder-buffer fold
-/// to `phases.merge_ns` on the merged bundle.
+/// `trial_fn(ctx, obs, trial, seeds)` must return exactly `lanes`
+/// measurements — one per lane, e.g. one per searcher raced on the
+/// trial's sampled graph. Aggregates are bit-identical for any thread
+/// count.
 ///
-/// Determinism note: the deterministic half (`metrics`) is merged in
-/// strict trial order exactly as in [`run_lanes_metered`]; the timers
-/// ride alongside without being consulted by anything, so observing a
-/// run cannot perturb it.
+/// *Per-worker context.* Each worker thread calls `init()` once when it
+/// starts and hands the resulting value to every `trial_fn` invocation
+/// it runs, so expensive-to-build, reusable state (a `SearchScratch`,
+/// pooled searcher instances, …) is allocated once per worker per cell
+/// and reused across all of that worker's trials. The context never
+/// crosses threads (no `Send`/`Sync` bound) and must not influence
+/// results: determinism comes from `(trial, seeds)` alone.
 ///
-/// This is also the engine's **fault-injection seam**: when a
-/// [`FaultInjection`] bundle is installed on the calling thread (see
-/// [`crate::install_faults`]), it is snapshotted once at cell entry and
-/// every trial runs contained — injected faults fire ahead of the body,
-/// panicking attempts are retried or skipped per the bundle's
-/// [`FailurePolicy`], and an optional watchdog deadline degrades the
-/// cell gracefully ([`TrialObs::degraded`]) instead of hanging.
+/// *Observations.* `trial_fn` receives a zeroed `TrialObs` per trial
+/// and fills its counters and phase timers; the runner accounts for
+/// what trial bodies cannot see: it stamps `metrics.trials = 1`,
+/// harvests the worker thread's heap-allocation delta across the trial
+/// body into `obs.allocations`, and charges the consumer's
+/// reorder-buffer fold to `phases.merge_ns` on the merged bundle. The
+/// deterministic half (`metrics`) is merged in strict trial order;
+/// `u64` addition is exact, so it is bit-identical for any thread
+/// count. The timers ride alongside without being consulted by
+/// anything, so observing a run cannot perturb it.
+///
+/// *Faults.* Every trial runs contained, under the [`FaultInjection`]
+/// bundle installed on the calling thread (see
+/// [`crate::install_faults`]), or under `FaultInjection::default()`
+/// when none is. The bundle is snapshotted once at cell entry: injected
+/// faults fire ahead of the body, panicking attempts propagate, retry
+/// or skip per its [`FailurePolicy`], and an optional watchdog deadline
+/// degrades the cell gracefully ([`TrialObs::degraded`]) instead of
+/// hanging.
 ///
 /// # Panics
 ///
-/// Same contract as [`run_lanes`] (injected panics still propagate
-/// under [`FailurePolicy::Propagate`], the default).
+/// Panics if `trial_fn` returns a lane count other than `lanes`, or if a
+/// trial panics under [`FailurePolicy::Propagate`] (the default; the
+/// panic is propagated).
 pub fn run_lanes_observed<C, I, F>(
     trials: usize,
     lanes: usize,
@@ -365,12 +283,12 @@ where
     if trials == 0 || lanes == 0 {
         return (aggregates, TrialObs::new());
     }
-    let workers = resolve_workers(threads, trials);
+    let workers = resolved_workers(threads, trials);
 
     // The fault bundle is snapshotted once per cell, on the caller's
     // thread (installation is thread-local); workers share this one
     // snapshot by reference so chaos cannot differ per worker.
-    let faults = crate::faults::active();
+    let faults = crate::faults::active().unwrap_or_default();
 
     // Backpressure: workers may run at most `window` trials past the
     // fold frontier, bounding the reorder buffer + channel queue at
@@ -439,22 +357,9 @@ where
                     }
                     // A fresh delta per trial: the consumer folds them in
                     // trial order, so per-worker accumulation never leaks
-                    // into the merged bundle. The allocation delta is read
-                    // from this worker thread's own counter, so concurrent
-                    // workers never see each other's allocations.
-                    let (measures, mut delta) = match faults.as_deref() {
-                        // Fault-free fast path: no catch_unwind frame.
-                        None => {
-                            let mut delta = TrialObs::new();
-                            let allocs_before = nonsearch_alloc_counter::allocations();
-                            let measures =
-                                trial_fn(&mut ctx, &mut delta, trial, trial_seeds(seeds, trial));
-                            delta.allocations += nonsearch_alloc_counter::allocations()
-                                .saturating_sub(allocs_before);
-                            (Some(measures), delta)
-                        }
-                        Some(cfg) => run_contained(cfg, &mut ctx, trial_fn, trial, seeds),
-                    };
+                    // into the merged bundle.
+                    let (measures, mut delta) =
+                        run_contained(faults, &mut ctx, trial_fn, trial, seeds);
                     let measures = match measures {
                         Some(measures) => {
                             // Stamped here, not by trial_fn, so the
@@ -498,8 +403,7 @@ where
         // abandoned gracefully — partial aggregates with `degraded` set —
         // instead of hanging the run on a stuck worker.
         let deadline = faults
-            .as_deref()
-            .and_then(|cfg| cfg.cell_deadline_ms)
+            .cell_deadline_ms
             // lint: allow(clock-env): watchdog deadline (chaos seam), never consulted by trial aggregates
             .map(|ms| Instant::now() + Duration::from_millis(ms));
         let mut degraded = false;
@@ -576,100 +480,19 @@ where
     (aggregates, observed)
 }
 
-/// Single-lane convenience wrapper around [`run_lanes`].
-pub fn run_cell<F>(
-    trials: usize,
-    threads: usize,
-    seeds: &SeedSequence,
-    trial_fn: F,
-) -> LaneAggregate
-where
-    F: Fn(usize, SeedSequence) -> TrialMeasure + Sync,
-{
-    run_lanes(trials, 1, threads, seeds, |trial, seeds| {
-        vec![trial_fn(trial, seeds)]
-    })
-    .pop()
-    .expect("one lane requested")
-}
-
-/// Single-lane convenience wrapper around [`run_lanes_with`] (the
-/// per-worker-context seam).
-pub fn run_cell_with<C, I, F>(
-    trials: usize,
-    threads: usize,
-    seeds: &SeedSequence,
-    init: I,
-    trial_fn: F,
-) -> LaneAggregate
-where
-    I: Fn() -> C + Sync,
-    F: Fn(&mut C, usize, SeedSequence) -> TrialMeasure + Sync,
-{
-    run_lanes_with(trials, 1, threads, seeds, init, |ctx, trial, seeds| {
-        vec![trial_fn(ctx, trial, seeds)]
-    })
-    .pop()
-    .expect("one lane requested")
-}
-
-/// Single-lane convenience wrapper around [`run_lanes_metered`].
-pub fn run_cell_metered<C, I, F>(
-    trials: usize,
-    threads: usize,
-    seeds: &SeedSequence,
-    init: I,
-    trial_fn: F,
-) -> (LaneAggregate, Metrics)
-where
-    I: Fn() -> C + Sync,
-    F: Fn(&mut C, &mut Metrics, usize, SeedSequence) -> TrialMeasure + Sync,
-{
-    let (aggregates, metrics) =
-        run_lanes_metered(trials, 1, threads, seeds, init, |ctx, m, trial, seeds| {
-            vec![trial_fn(ctx, m, trial, seeds)]
-        });
-    (
-        aggregates.into_iter().next().expect("one lane requested"),
-        metrics,
-    )
-}
-
-/// Single-lane convenience wrapper around [`run_lanes_observed`].
-pub fn run_cell_observed<C, I, F>(
-    trials: usize,
-    threads: usize,
-    seeds: &SeedSequence,
-    init: I,
-    trial_fn: F,
-) -> (LaneAggregate, TrialObs)
-where
-    I: Fn() -> C + Sync,
-    F: Fn(&mut C, &mut TrialObs, usize, SeedSequence) -> TrialMeasure + Sync,
-{
-    let (aggregates, obs) =
-        run_lanes_observed(trials, 1, threads, seeds, init, |ctx, o, trial, seeds| {
-            vec![trial_fn(ctx, o, trial, seeds)]
-        });
-    (
-        aggregates.into_iter().next().expect("one lane requested"),
-        obs,
-    )
-}
-
 /// Runs `count` independent jobs on `threads` workers (0 = all cores)
 /// and returns their results **in job order**, regardless of which
 /// worker ran what.
 ///
 /// This is the engine's deterministic parallel *map* (where
-/// [`run_lanes`] is its deterministic parallel *fold*): job `i` receives
+/// [`run_lanes_observed`] is its deterministic parallel *fold*): job `i` receives
 /// [`trial_seeds`]`(seeds, i)`, so any output derived from the seeds
 /// alone is bit-identical for every thread count. The corpus builder
 /// shards graph generation through this — each job writes its own
 /// artifact and returns metadata, and the ordered result vector makes
 /// the assembled manifest deterministic.
 ///
-/// Unlike [`run_lanes`] there is no backpressure window: all `count`
+/// Unlike [`run_lanes_observed`] there is no backpressure window: all `count`
 /// results are materialized, so keep per-job results small (metadata,
 /// not megabytes) for large `count`.
 ///
@@ -684,7 +507,7 @@ where
     if count == 0 {
         return Vec::new();
     }
-    let workers = resolve_workers(threads, count);
+    let workers = resolved_workers(threads, count);
     let next_job = AtomicUsize::new(0);
     let (tx, rx) = mpsc::channel::<(usize, T)>();
     let results = std::thread::scope(|scope| {
@@ -735,16 +558,12 @@ pub(crate) fn resolve_thread_setting(threads: usize) -> usize {
     }
 }
 
-fn resolve_workers(threads: usize, trials: usize) -> usize {
-    resolve_thread_setting(threads).min(trials).max(1)
-}
-
-/// The worker count the [`run_lanes`] family resolves from a
-/// `--threads` setting (`0` = all cores) and a trial count — exposed so
-/// resource records can report how many workers actually ran a cell
-/// (the phase-sum validation envelope scales with it).
+/// The worker count the runners resolve from a `--threads` setting
+/// (`0` = all cores) and a trial count — exposed so resource records
+/// can report how many workers actually ran a cell (the phase-sum
+/// validation envelope scales with it).
 pub fn resolved_workers(threads: usize, trials: usize) -> usize {
-    resolve_workers(threads, trials)
+    resolve_thread_setting(threads).min(trials).max(1)
 }
 
 #[cfg(test)]
@@ -761,12 +580,41 @@ mod tests {
         )
     }
 
+    /// The aggregate of a one-lane cell over `measure`.
+    fn one_lane<F>(trials: usize, threads: usize, seeds: &SeedSequence, measure: F) -> LaneAggregate
+    where
+        F: Fn(usize, SeedSequence) -> TrialMeasure + Sync,
+    {
+        run_lanes_observed(
+            trials,
+            1,
+            threads,
+            seeds,
+            || (),
+            |(), _, t, s| vec![measure(t, s)],
+        )
+        .0[0]
+    }
+
+    /// A one-lane cell over [`metered_body`]: its aggregate and metrics.
+    fn metered(trials: usize, threads: usize, seeds: &SeedSequence) -> (LaneAggregate, Metrics) {
+        let (aggregates, obs) = run_lanes_observed(
+            trials,
+            1,
+            threads,
+            seeds,
+            || (),
+            |(), o, t, s| vec![metered_body(&mut o.metrics, t, s)],
+        );
+        (aggregates[0], obs.metrics)
+    }
+
     #[test]
     fn aggregates_are_bit_identical_across_thread_counts() {
         let seeds = SeedSequence::new(42);
-        let baseline = run_cell(97, 1, &seeds, synthetic);
+        let baseline = one_lane(97, 1, &seeds, synthetic);
         for threads in [2, 3, 4, 8] {
-            let parallel = run_cell(97, threads, &seeds, synthetic);
+            let parallel = one_lane(97, threads, &seeds, synthetic);
             assert_eq!(parallel, baseline, "threads={threads}");
         }
     }
@@ -774,7 +622,7 @@ mod tests {
     #[test]
     fn aggregate_matches_sequential_welford() {
         let seeds = SeedSequence::new(7);
-        let agg = run_cell(50, 4, &seeds, synthetic);
+        let agg = one_lane(50, 4, &seeds, synthetic);
         let mut expected = StreamingStats::new();
         let mut successes = 0u64;
         for t in 0..50 {
@@ -790,10 +638,17 @@ mod tests {
     #[test]
     fn lanes_aggregate_independently() {
         let seeds = SeedSequence::new(3);
-        let aggs = run_lanes(40, 2, 4, &seeds, |trial, seeds| {
-            let base = synthetic(trial, seeds);
-            vec![base, TrialMeasure::new(base.value * 2.0, !base.success)]
-        });
+        let (aggs, _) = run_lanes_observed(
+            40,
+            2,
+            4,
+            &seeds,
+            || (),
+            |(), _, trial, seeds| {
+                let base = synthetic(trial, seeds);
+                vec![base, TrialMeasure::new(base.value * 2.0, !base.success)]
+            },
+        );
         assert_eq!(aggs.len(), 2);
         assert_eq!(aggs[0].count(), 40);
         assert_eq!(aggs[1].count(), 40);
@@ -805,7 +660,7 @@ mod tests {
     fn every_trial_runs_exactly_once() {
         let seeds = SeedSequence::new(11);
         let calls = AtomicU64::new(0);
-        let agg = run_cell(64, 8, &seeds, |trial, seeds| {
+        let agg = one_lane(64, 8, &seeds, |trial, seeds| {
             calls.fetch_add(1, Ordering::Relaxed);
             synthetic(trial, seeds)
         });
@@ -816,19 +671,26 @@ mod tests {
     #[test]
     fn zero_trials_and_zero_lanes_are_empty() {
         let seeds = SeedSequence::new(1);
-        let agg = run_cell(0, 4, &seeds, synthetic);
+        let agg = one_lane(0, 4, &seeds, synthetic);
         assert_eq!(agg.count(), 0);
         assert_eq!(agg.success_rate(), 0.0);
-        assert!(run_lanes(10, 0, 4, &seeds, |_, _| vec![]).is_empty());
+        let (aggs, obs) = run_lanes_observed(10, 0, 4, &seeds, || (), |(), _, _, _| vec![]);
+        assert!(aggs.is_empty());
+        assert_eq!(obs, TrialObs::new());
     }
 
     #[test]
     #[should_panic(expected = "lane")]
     fn wrong_lane_count_panics() {
         let seeds = SeedSequence::new(1);
-        let _ = run_lanes(4, 2, 1, &seeds, |trial, seeds| {
-            vec![synthetic(trial, seeds)]
-        });
+        let _ = run_lanes_observed(
+            4,
+            2,
+            1,
+            &seeds,
+            || (),
+            |(), _, trial, seeds| vec![synthetic(trial, seeds)],
+        );
     }
 
     #[test]
@@ -838,7 +700,7 @@ mod tests {
         // gated beyond the backpressure window must be released (not
         // left blocking the channel) and the panic must reach us.
         let seeds = SeedSequence::new(17);
-        let _ = run_cell(100, 4, &seeds, |trial, s| {
+        let _ = one_lane(100, 4, &seeds, |trial, s| {
             if trial == 10 {
                 panic!("trial 10 exploded");
             }
@@ -858,8 +720,8 @@ mod tests {
             }
             synthetic(trial, s)
         };
-        let parallel = run_cell(120, 8, &seeds, slow);
-        let sequential = run_cell(120, 1, &seeds, synthetic);
+        let parallel = one_lane(120, 8, &seeds, slow);
+        let sequential = one_lane(120, 1, &seeds, synthetic);
         assert_eq!(parallel, sequential);
     }
 
@@ -908,20 +770,21 @@ mod tests {
     fn worker_contexts_are_built_once_per_worker_and_reused() {
         let seeds = SeedSequence::new(31);
         let inits = AtomicU64::new(0);
-        let agg = run_cell_with(
+        let (aggs, _) = run_lanes_observed(
             64,
+            1,
             4,
             &seeds,
             || {
                 inits.fetch_add(1, Ordering::Relaxed);
                 0usize // per-worker trial counter
             },
-            |count, trial, seeds| {
+            |count, _, trial, seeds| {
                 *count += 1;
-                synthetic(trial, seeds)
+                vec![synthetic(trial, seeds)]
             },
         );
-        assert_eq!(agg.count(), 64);
+        assert_eq!(aggs[0].count(), 64);
         let workers = inits.load(Ordering::Relaxed);
         assert!(
             (1..=4).contains(&workers),
@@ -934,27 +797,12 @@ mod tests {
         // Counters are u64 sums folded in strict trial order, so the
         // merged bundle must match the single-threaded one exactly.
         let seeds = SeedSequence::new(91);
-        let metered = |threads: usize| {
-            run_cell_metered(
-                97,
-                threads,
-                &seeds,
-                || (),
-                |(), m, trial, s| {
-                    let measure = synthetic(trial, s);
-                    m.requests = measure.value as u64;
-                    m.discoveries = trial as u64 % 7;
-                    m.observe_trial_requests(m.requests);
-                    measure
-                },
-            )
-        };
-        let (baseline_agg, baseline_metrics) = metered(1);
+        let (baseline_agg, baseline_metrics) = metered(97, 1, &seeds);
         assert_eq!(baseline_metrics.trials, 97);
         assert_eq!(baseline_metrics.trial_requests.total(), 97);
         assert!(baseline_metrics.requests > 0);
         for threads in [2, 4, 8] {
-            let (agg, metrics) = metered(threads);
+            let (agg, metrics) = metered(97, threads, &seeds);
             assert_eq!(agg, baseline_agg, "threads={threads}");
             assert_eq!(metrics, baseline_metrics, "threads={threads}");
         }
@@ -966,18 +814,19 @@ mod tests {
         // so the histogram's bucket-sum == trials invariant holds
         // whenever trial_fn records exactly one sample.
         let seeds = SeedSequence::new(92);
-        let (_, metrics) = run_cell_metered(
+        let (_, obs) = run_lanes_observed(
             10,
+            1,
             4,
             &seeds,
             || (),
-            |(), m, trial, s| {
-                m.observe_trial_requests(trial as u64);
-                synthetic(trial, s)
+            |(), o, trial, s| {
+                o.metrics.observe_trial_requests(trial as u64);
+                vec![synthetic(trial, s)]
             },
         );
-        assert_eq!(metrics.trials, 10);
-        assert_eq!(metrics.trial_requests.total(), metrics.trials);
+        assert_eq!(obs.metrics.trials, 10);
+        assert_eq!(obs.metrics.trial_requests.total(), obs.metrics.trials);
     }
 
     #[test]
@@ -987,8 +836,9 @@ mod tests {
         // even though the nanosecond sums differ run to run.
         let seeds = SeedSequence::new(93);
         let observed = |threads: usize| {
-            run_cell_observed(
+            run_lanes_observed(
                 64,
+                1,
                 threads,
                 &seeds,
                 || (),
@@ -998,7 +848,7 @@ mod tests {
                     obs.metrics.requests = measure.value as u64;
                     obs.metrics.observe_trial_requests(obs.metrics.requests);
                     obs.phases.search_ns += elapsed_ns(t0);
-                    measure
+                    vec![measure]
                 },
             )
         };
@@ -1019,8 +869,9 @@ mod tests {
         // harvested deltas must read as zero — the runner may call the
         // counter unconditionally without lying.
         let seeds = SeedSequence::new(94);
-        let (_, obs) = run_cell_observed(
+        let (_, obs) = run_lanes_observed(
             16,
+            1,
             2,
             &seeds,
             || (),
@@ -1028,7 +879,7 @@ mod tests {
                 // A real heap allocation (Box, not a stack array) that
                 // would count if the allocator were installed.
                 let _heap = Box::new([trial; 8]);
-                synthetic(trial, s)
+                vec![synthetic(trial, s)]
             },
         );
         assert_eq!(obs.allocations, 0);
@@ -1081,8 +932,7 @@ mod tests {
     #[test]
     fn retry_aggregates_are_bit_identical_to_fault_free_runs() {
         let seeds = SeedSequence::new(55);
-        let (clean_agg, clean_metrics) =
-            run_cell_metered(97, 1, &seeds, || (), |(), m, t, s| metered_body(m, t, s));
+        let (clean_agg, clean_metrics) = metered(97, 1, &seeds);
         for threads in [1, 2, 4, 8] {
             let _scope = crate::faults::install_faults(FaultInjection {
                 policy: FailurePolicy::Retry { max: 2 },
@@ -1091,13 +941,7 @@ mod tests {
                 })),
                 cell_deadline_ms: None,
             });
-            let (agg, metrics) = run_cell_metered(
-                97,
-                threads,
-                &seeds,
-                || (),
-                |(), m, t, s| metered_body(m, t, s),
-            );
+            let (agg, metrics) = metered(97, threads, &seeds);
             assert_eq!(agg, clean_agg, "threads={threads}");
             // Trials 0, 5, …, 95 each faulted once and retried once.
             assert_eq!(metrics.faults_injected, 20, "threads={threads}");
@@ -1122,8 +966,7 @@ mod tests {
             })),
             cell_deadline_ms: None,
         });
-        let (agg, metrics) =
-            run_cell_metered(20, 4, &seeds, || (), |(), m, t, s| metered_body(m, t, s));
+        let (agg, metrics) = metered(20, 4, &seeds);
         // Trials 0–2 were dropped: they fold no measurements and no
         // `trials` stamp, so the histogram invariant still holds.
         assert_eq!(agg.count(), 17);
@@ -1146,8 +989,7 @@ mod tests {
             })),
             cell_deadline_ms: None,
         });
-        let (agg, metrics) =
-            run_cell_metered(10, 2, &seeds, || (), |(), m, t, s| metered_body(m, t, s));
+        let (agg, metrics) = metered(10, 2, &seeds);
         assert_eq!(agg.count(), 9);
         assert_eq!(metrics.trials_skipped, 1);
         assert_eq!(metrics.faults_injected, 3); // initial attempt + 2 retries
@@ -1165,13 +1007,13 @@ mod tests {
             })),
             cell_deadline_ms: None,
         });
-        let _ = run_cell(16, 2, &seeds, synthetic);
+        let _ = one_lane(16, 2, &seeds, synthetic);
     }
 
     #[test]
     fn injected_stalls_do_not_perturb_aggregates() {
         let seeds = SeedSequence::new(59);
-        let clean = run_cell(40, 1, &seeds, synthetic);
+        let clean = one_lane(40, 1, &seeds, synthetic);
         let _scope = crate::faults::install_faults(FaultInjection {
             policy: FailurePolicy::Propagate,
             hook: Some(std::sync::Arc::new(|trial, _| {
@@ -1179,18 +1021,18 @@ mod tests {
             })),
             cell_deadline_ms: None,
         });
-        let stalled = run_cell(40, 8, &seeds, synthetic);
+        let stalled = one_lane(40, 8, &seeds, synthetic);
         assert_eq!(stalled, clean);
     }
 
     #[test]
     fn installed_default_bundle_leaves_runs_bit_identical() {
-        // Installing an empty bundle routes trials through the contained
-        // path; the results must not change.
+        // Installing an empty bundle is the same as installing none:
+        // both run every trial under `FaultInjection::default()`.
         let seeds = SeedSequence::new(57);
-        let clean = run_cell(64, 4, &seeds, synthetic);
+        let clean = metered(64, 4, &seeds);
         let _scope = crate::faults::install_faults(FaultInjection::default());
-        let contained = run_cell(64, 4, &seeds, synthetic);
+        let contained = metered(64, 4, &seeds);
         assert_eq!(contained, clean);
     }
 
@@ -1207,9 +1049,10 @@ mod tests {
             })),
             cell_deadline_ms: Some(50),
         });
-        let (agg, obs) = run_cell_observed(8, 2, &seeds, || (), |(), _o, t, s| synthetic(t, s));
+        let (agg, obs) =
+            run_lanes_observed(8, 1, 2, &seeds, || (), |(), _o, t, s| vec![synthetic(t, s)]);
         assert!(obs.degraded);
-        assert!(agg.count() < 8, "degraded cell folded all trials");
+        assert!(agg[0].count() < 8, "degraded cell folded all trials");
     }
 
     #[test]
@@ -1217,14 +1060,21 @@ mod tests {
         // A context that hoards mutable state must not perturb results:
         // determinism comes from (trial, seeds) alone.
         let seeds = SeedSequence::new(77);
-        let plain = run_cell(80, 1, &seeds, synthetic);
+        let plain = one_lane(80, 1, &seeds, synthetic);
         for threads in [1, 2, 8] {
-            let ctx = run_cell_with(80, threads, &seeds, Vec::<f64>::new, |buf, trial, seeds| {
-                let m = synthetic(trial, seeds);
-                buf.push(m.value); // grows across the worker's trials
-                m
-            });
-            assert_eq!(ctx, plain, "threads={threads}");
+            let (ctx, _) = run_lanes_observed(
+                80,
+                1,
+                threads,
+                &seeds,
+                Vec::<f64>::new,
+                |buf, _, trial, seeds| {
+                    let m = synthetic(trial, seeds);
+                    buf.push(m.value); // grows across the worker's trials
+                    vec![m]
+                },
+            );
+            assert_eq!(ctx[0], plain, "threads={threads}");
         }
     }
 }

@@ -15,6 +15,7 @@
 
 use nonsearch_generators::SeedSequence;
 use nonsearch_graph::UndirectedCsr;
+use nonsearch_obs::{timed, PhaseTimes};
 use std::sync::Arc;
 
 /// Supplies the graph for each trial of a cell.
@@ -44,19 +45,23 @@ pub trait GraphSource: Sync {
     fn is_stored(&self) -> bool {
         false
     }
-}
 
-impl<S: GraphSource + ?Sized> GraphSource for &S {
-    fn trial_graph(&self, n: usize, trial: usize, seeds: &SeedSequence) -> Arc<UndirectedCsr> {
-        (**self).trial_graph(n, trial, seeds)
-    }
-
-    fn describe(&self) -> String {
-        (**self).describe()
-    }
-
-    fn is_stored(&self) -> bool {
-        (**self).is_stored()
+    /// [`trial_graph`](GraphSource::trial_graph), with the fetch time
+    /// added to `phases`: to `load` for a stored source, to `generate`
+    /// otherwise (see [`is_stored`](GraphSource::is_stored)).
+    fn timed_trial_graph(
+        &self,
+        n: usize,
+        trial: usize,
+        seeds: &SeedSequence,
+        phases: &mut PhaseTimes,
+    ) -> Arc<UndirectedCsr> {
+        let phase = if self.is_stored() {
+            &mut phases.load_ns
+        } else {
+            &mut phases.generate_ns
+        };
+        timed(phase, || self.trial_graph(n, trial, seeds))
     }
 }
 
@@ -116,10 +121,48 @@ mod tests {
 
     #[test]
     fn references_forward() {
-        let src = path_source();
-        let by_ref: &dyn GraphSource = &src;
+        // Experiments hold boxed sources and lend them as `&dyn`.
+        fn describe(source: &(impl GraphSource + ?Sized)) -> String {
+            source.describe()
+        }
+        let boxed: Box<dyn GraphSource> = Box::new(path_source());
+        let by_ref: &dyn GraphSource = &*boxed;
         let seeds = SeedSequence::new(2);
         assert_eq!(by_ref.trial_graph(3, 1, &seeds).node_count(), 3);
-        assert_eq!((&by_ref).describe(), "generate:path");
+        assert_eq!(describe(by_ref), "generate:path");
+    }
+
+    #[test]
+    fn timed_fetches_charge_generate_unless_stored() {
+        struct Stored<S>(S);
+        impl<S: GraphSource> GraphSource for Stored<S> {
+            fn trial_graph(
+                &self,
+                n: usize,
+                trial: usize,
+                seeds: &SeedSequence,
+            ) -> Arc<UndirectedCsr> {
+                self.0.trial_graph(n, trial, seeds)
+            }
+            fn describe(&self) -> String {
+                "stored".into()
+            }
+            fn is_stored(&self) -> bool {
+                true
+            }
+        }
+        let seeds = SeedSequence::new(2);
+        let mut phases = PhaseTimes::new();
+        let g = path_source().timed_trial_graph(3, 1, &seeds, &mut phases);
+        assert_eq!(g.node_count(), 3);
+        assert!(phases.generate_ns > 0);
+        assert_eq!(phases.load_ns, 0);
+
+        let mut phases = PhaseTimes::new();
+        let by_dyn: &dyn GraphSource = &Stored(path_source());
+        let g = by_dyn.timed_trial_graph(4, 0, &seeds, &mut phases);
+        assert_eq!(g.node_count(), 4);
+        assert!(phases.load_ns > 0);
+        assert_eq!(phases.generate_ns, 0);
     }
 }

@@ -2,8 +2,8 @@
 //! under arbitrary parameters.
 
 use nonsearch_engine::{
-    install_faults, parse_json, run_cell, run_lanes, trial_seeds, FailurePolicy, FaultHook,
-    FaultInjection, InjectedFault, JsonValue, TrialMeasure,
+    install_faults, parse_json, run_lanes_observed, trial_seeds, FailurePolicy, FaultHook,
+    FaultInjection, InjectedFault, JsonValue, LaneAggregate, TrialMeasure,
 };
 use nonsearch_fault::{FaultPlan, TrialFault};
 use nonsearch_generators::SeedSequence;
@@ -16,6 +16,19 @@ use std::sync::Arc;
 fn synthetic_measure(seeds: &SeedSequence) -> TrialMeasure {
     let draw = seeds.child(0);
     TrialMeasure::new((draw % 10_000) as f64 / 7.0, !draw.is_multiple_of(5))
+}
+
+/// The aggregate of a one-lane cell of [`synthetic_measure`] trials.
+fn synthetic_cell(trials: usize, threads: usize, seeds: &SeedSequence) -> LaneAggregate {
+    run_lanes_observed(
+        trials,
+        1,
+        threads,
+        seeds,
+        || (),
+        |(), _, _, s| vec![synthetic_measure(&s)],
+    )
+    .0[0]
 }
 
 proptest! {
@@ -52,8 +65,8 @@ proptest! {
         threads in 2usize..9,
     ) {
         let seeds = SeedSequence::new(root);
-        let single = run_cell(trials, 1, &seeds, |_, s| synthetic_measure(&s));
-        let sharded = run_cell(trials, threads, &seeds, |_, s| synthetic_measure(&s));
+        let single = synthetic_cell(trials, 1, &seeds);
+        let sharded = synthetic_cell(trials, threads, &seeds);
         prop_assert_eq!(single, sharded);
         prop_assert_eq!(single.count(), trials as u64);
     }
@@ -68,7 +81,7 @@ proptest! {
     ) {
         let seeds = SeedSequence::new(root);
         let run = |threads: usize| {
-            run_lanes(trials, lanes, threads, &seeds, |_, s| {
+            run_lanes_observed(trials, lanes, threads, &seeds, || (), |(), _, _, s| {
                 (0..lanes)
                     .map(|lane| {
                         let draw = s.child(10 + lane as u64);
@@ -76,6 +89,7 @@ proptest! {
                     })
                     .collect()
             })
+            .0
         };
         let a = run(1);
         let b = run(4);
@@ -99,7 +113,7 @@ proptest! {
         panic_every in 1u64..4,
     ) {
         let seeds = SeedSequence::new(root);
-        let reference = run_cell(trials, 1, &seeds, |_, s| synthetic_measure(&s));
+        let reference = synthetic_cell(trials, 1, &seeds);
 
         let plan = FaultPlan::new(plan_seed).with_trial_panics(panic_every);
         let hook: FaultHook = Arc::new(move |trial, attempt| {
@@ -113,7 +127,7 @@ proptest! {
             hook: Some(hook),
             cell_deadline_ms: None,
         });
-        let retried = run_cell(trials, threads, &seeds, |_, s| synthetic_measure(&s));
+        let retried = synthetic_cell(trials, threads, &seeds);
         drop(scope);
 
         prop_assert_eq!(reference, retried);

@@ -41,7 +41,7 @@ mod phase;
 mod render;
 mod resource;
 
-pub use phase::{elapsed_ns, PhaseTimes};
+pub use phase::{elapsed_ns, timed, PhaseTimes};
 pub use render::{prometheus_text, render_log2_histogram};
 pub use resource::ResourceSample;
 

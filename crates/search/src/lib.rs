@@ -57,6 +57,7 @@ mod stamped;
 mod strong;
 mod suite;
 mod task;
+mod trial;
 mod weak;
 
 pub use algorithms::{
@@ -75,6 +76,7 @@ pub use stamped::StampedMap;
 pub use strong::{StrongSearchState, StrongSearcher};
 pub use suite::SearcherKind;
 pub use task::{SearchOutcome, SearchTask, SuccessCriterion};
+pub use trial::{search_trial, LaneSearcher};
 pub use weak::{WeakSearchState, WeakSearcher};
 
 /// Result alias used across this crate.

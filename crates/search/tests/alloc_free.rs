@@ -94,23 +94,24 @@ fn strong_searchers() -> [Box<dyn StrongSearcher>; 3] {
 
 #[test]
 fn steady_state_trials_allocate_nothing_with_metrics_enabled() {
-    // The observability counters ride the hot path for free: harvesting
-    // a full `Metrics` delta per trial — outcome counters, cumulative
-    // view/frontier deltas, and a log2 histogram sample — is plain u64
-    // arithmetic into a fixed-size struct, so the steady-state
-    // allocation count stays exactly zero with metrics enabled. The
-    // same holds for the phase timers (`Instant` reads folded into a
-    // fixed-shape `PhaseTimes`) and for sampling the per-thread
-    // allocation counter itself — everything an observed engine worker
-    // does per trial.
-    use nonsearch_obs::{elapsed_ns, Metrics, PhaseTimes, ResourceSample};
-    use std::time::Instant;
+    // The observability counters ride the hot path for free: the
+    // production per-trial harvest (`search_trial`) — outcome counters,
+    // cumulative view/frontier deltas, a log2 histogram sample, and the
+    // search/harvest phase timers — is plain u64 arithmetic into
+    // fixed-size structs, so the steady-state allocation count stays
+    // exactly zero with metrics enabled. The same holds for sampling
+    // the per-thread allocation counter itself — everything an observed
+    // engine worker does per trial.
+    use nonsearch_generators::SeedSequence;
+    use nonsearch_obs::{Metrics, PhaseTimes, ResourceSample};
+    use nonsearch_search::search_trial;
 
     let n = 512;
     let graph = MergedMori::sample(n, 2, 0.5, &mut rng_from_seed(3))
         .unwrap()
         .undirected();
     let task = SearchTask::new(NodeId::from_label(1), NodeId::from_label(n)).with_budget(50 * n);
+    let trial_seeds = SeedSequence::new(11);
 
     let mut scratch = SearchScratch::new();
     let mut metrics = Metrics::new();
@@ -127,39 +128,47 @@ fn steady_state_trials_allocate_nothing_with_metrics_enabled() {
         SearcherKind::SimStrongHighDegree,
         SearcherKind::SimStrongGreedyId,
     ] {
-        let mut searcher = kind.build();
-        let mut rng = rng_from_seed(11);
-        let warm = run_weak_in(&mut scratch, &graph, &task, &mut *searcher, &mut rng).unwrap();
+        let mut searchers = [kind.build()];
+        let mut warm = None;
+        search_trial(
+            &mut scratch,
+            &mut searchers,
+            |_| (&graph, task),
+            &trial_seeds,
+            &mut Metrics::new(),
+            &mut PhaseTimes::default(),
+            |o| warm = Some(o),
+        )
+        .unwrap();
+        let warm = warm.expect("one lane ran");
         assert!(warm.found, "{kind}");
 
-        // Steady state, with the full per-trial metrics harvest inside
-        // the measurement window — exactly what the engine's metered
-        // runners do per trial.
-        let mut rng = rng_from_seed(11);
+        // Steady state, with the production per-trial harvest inside
+        // the measurement window — exactly what the engine's trials do.
         let before = allocations();
         let mut delta = Metrics::new();
-        let resolutions_before = scratch.view().edge_resolutions();
-        let resets_before = scratch.view().resets();
-        let rescans_before = searcher.frontier_rescans();
-        let search_start = Instant::now();
-        let steady = run_weak_in(&mut scratch, &graph, &task, &mut *searcher, &mut rng).unwrap();
-        let search_ns = elapsed_ns(search_start);
-        let harvest_start = Instant::now();
-        delta.requests += steady.requests as u64;
-        delta.discoveries += steady.discovered as u64;
-        delta.frontier_rescans += searcher.frontier_rescans() - rescans_before;
-        delta.edge_resolutions += scratch.view().edge_resolutions() - resolutions_before;
-        delta.scratch_resets += scratch.view().resets() - resets_before;
-        delta.observe_trial_requests(steady.requests as u64);
+        let mut steady = None;
+        search_trial(
+            &mut scratch,
+            &mut searchers,
+            |_| (&graph, task),
+            &trial_seeds,
+            &mut delta,
+            &mut phases,
+            |o| steady = Some(o),
+        )
+        .unwrap();
         delta.trials = 1;
         metrics.merge(&delta);
-        phases.search_ns += search_ns;
-        phases.harvest_ns += elapsed_ns(harvest_start);
         // Reading the per-thread allocation counter mid-window is also
         // free — the observed runner samples it once per trial.
         let _mid_window_sample = allocations();
         let allocated = allocations() - before;
-        assert_eq!(steady, warm, "{kind}: metrics harvest changed the outcome");
+        assert_eq!(
+            steady,
+            Some(warm),
+            "{kind}: metrics harvest changed the outcome"
+        );
         assert_eq!(
             allocated, 0,
             "{kind}: metered steady-state trial performed {allocated} heap allocations"
