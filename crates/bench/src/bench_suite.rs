@@ -1,6 +1,6 @@
 //! `xp bench` — the standardized engine benchmark suite.
 //!
-//! One command measures the four throughput surfaces regressions have
+//! One command measures the five throughput surfaces regressions have
 //! historically hidden in, and writes a schema-versioned suite record
 //! (`BENCH_engine_suite.json`) that `xp profile-diff --suite` gates
 //! against the committed copy:
@@ -9,10 +9,15 @@
 //!   n ∈ {1 000, 10 000, 100 000}, pooled and (at n = 10 000) fresh
 //!   scratch, on a Móri p=1.0, m=1 star at n = 16 384, and the
 //!   strong-model full expansion at n = 10 000 (requests/sec).
-//! * **corpus_load** — decoding a freshly-opened corpus, heap vs mmap
-//!   (graphs/sec). The `Corpus` handle is reopened for every measured
+//! * **corpus_load** — decoding a freshly-opened corpus, heap vs mmap,
+//!   against regenerating the same graphs (graphs/sec, BA(m=2) at
+//!   n = 10 000). The `Corpus` handle is reopened for every measured
 //!   round, because loads are cached per handle — a warm handle would
 //!   measure an `Arc` clone, not the decode path.
+//! * **kernels** — one table of named generator, analysis and
+//!   equivalence kernels (calls/sec): every model's sampler at
+//!   n = 10 000, the power-law MLE, distances and regression on a
+//!   50 000-vertex tree, and the exact/sampled window-event machinery.
 //! * **searcher** — one search per round for each informed searcher
 //!   (plus `sim-strong-greedy-id`) on a Móri p=0.6, m=1 graph at
 //!   n ∈ {1 024, 16 384}, pooled scratch (requests/sec): the strategy
@@ -25,21 +30,32 @@
 //!
 //! Every cell carries a uniform higher-is-better `throughput` field
 //! keyed by `section`/`key`, so the diff is an exact match — no
-//! nearest-`n` heuristics. Quick mode (`--quick`) runs a reduced sweep
-//! and writes `BENCH_engine_suite.quick.json` instead, so a truncated
-//! run can never clobber the committed full record.
+//! nearest-`n` heuristics. Every cell outside `thread_scaling` is timed
+//! for at least 200 ms (100 ms quick). Quick mode (`--quick`) runs a
+//! reduced sweep and writes `BENCH_engine_suite.quick.json` instead, so
+//! a truncated run can never clobber the committed full record.
 
 use crate::{weak_cell_with_policy_from, StartPolicy};
 use nonsearch_alloc_counter::allocations;
-use nonsearch_core::{BarabasiAlbertModel, MergedMoriModel, ModelSource};
+use nonsearch_analysis::{average_distance, fit_log_log, fit_power_law_mle, DegreeDistribution};
+use nonsearch_core::{
+    enumerate_mori_trees, estimate_mori_event_probability, mori_event_probability_exact,
+    mori_window_event_holds, BarabasiAlbertModel, EquivalenceWindow, MergedMoriModel, ModelSource,
+};
 use nonsearch_corpus::{build, BuildSpec, Corpus, LoadMode};
 use nonsearch_engine::{git_describe, json::JsonValue, GraphSource};
-use nonsearch_generators::{rng_from_seed, SeedSequence};
-use nonsearch_graph::{NodeId, UndirectedCsr};
+use nonsearch_generators::{
+    power_law_degree_sequence, rng_from_seed, BarabasiAlbert, ConfigModel, CooperFrieze,
+    CooperFriezeConfig, KleinbergGrid, MergedMori, MoriTree, PowerLawConfig, SeedSequence,
+    SimplificationPolicy, UniformAttachment,
+};
+use nonsearch_graph::{degree_sequence, NodeId, UndirectedCsr};
 use nonsearch_search::{
     run_weak_in, FrontierCursors, SearchScratch, SearchTask, SearcherKind, StrongSearchState,
     SuccessCriterion, WeakSearchState,
 };
+use rand_chacha::ChaCha8Rng;
+use std::hint::black_box;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
@@ -162,13 +178,12 @@ fn timed_rounds(min_time: Duration, mut round: impl FnMut() -> usize) -> Timed {
 ///
 /// The last three cells use the same n in quick and full mode, so the
 /// suite gate compares them on every run.
-fn oracle_section(quick: bool, cells: &mut Vec<Cell>) {
+fn oracle_section(quick: bool, min_time: Duration, cells: &mut Vec<Cell>) {
     let sizes: &[usize] = if quick {
         &[1_000, 10_000]
     } else {
         &[1_000, 10_000, 100_000]
     };
-    let min_time = Duration::from_millis(if quick { 100 } else { 200 });
     let mut scratch = SearchScratch::new();
     let mut cursors = FrontierCursors::new();
     for &n in sizes {
@@ -221,18 +236,20 @@ fn oracle_cell(lane: &str, n: usize, timed: Timed) -> Cell {
     }
 }
 
-/// Corpus decode throughput: heap vs mmap loads of a freshly-built
-/// scratch corpus, reopening the handle per round to defeat its cache.
-fn corpus_section(quick: bool, cells: &mut Vec<Cell>) -> Result<(), String> {
-    let n = if quick { 1_000 } else { 10_000 };
-    let graphs = if quick { 6 } else { 12 };
-    let rounds: u32 = if quick { 3 } else { 5 };
+/// Corpus setup throughput, graphs/sec, at n = 10 000 in quick and
+/// full mode alike: heap vs mmap loads of a freshly-built scratch
+/// corpus, reopening the handle per round to defeat its cache, and
+/// regenerating the same number of graphs per round — the
+/// generate-vs-load ratio a corpus exists to win.
+fn corpus_section(min_time: Duration, cells: &mut Vec<Cell>) -> Result<(), String> {
+    const N: usize = 10_000;
+    const GRAPHS: usize = 12;
     let dir = std::env::temp_dir().join(format!("nonsearch_bench_corpus_{}", std::process::id()));
     let spec = BuildSpec {
         model_spec: "ba:m=2".to_string(),
         seed: 0xBEAC,
-        sizes: vec![n],
-        trials: graphs,
+        sizes: vec![N],
+        trials: GRAPHS,
         variants: 0,
         swaps_per_edge: 0,
         threads: 0,
@@ -240,37 +257,171 @@ fn corpus_section(quick: bool, cells: &mut Vec<Cell>) -> Result<(), String> {
     build(&dir, &spec).map_err(|e| format!("corpus build: {e}"))?;
 
     for (mode, key) in [(LoadMode::Heap, "heap"), (LoadMode::Mmap, "mmap")] {
-        let mut total_loads = 0u64;
-        // lint: allow(clock-env): benchmark wall-clock measurement; throughput is the deliverable, not an aggregate
-        let start = Instant::now();
-        for _ in 0..rounds {
+        let timed = timed_rounds(min_time, || {
             // Reopen per round: `Corpus::load` caches per handle, so a
             // warm handle would measure Arc clones, not decodes.
-            let corpus = Corpus::open_with(&dir, mode).map_err(|e| format!("corpus open: {e}"))?;
-            for g in 0..graphs {
-                let graph = corpus
-                    .load(g, None)
-                    .map_err(|e| format!("corpus load: {e}"))?;
-                assert_eq!(graph.node_count(), n);
-                total_loads += 1;
+            let corpus = Corpus::open_with(&dir, mode).expect("bench corpus opens");
+            for g in 0..GRAPHS {
+                let graph = corpus.load(g, None).expect("bench corpus loads");
+                assert_eq!(graph.node_count(), N);
             }
+            GRAPHS
+        });
+        cells.push(corpus_cell(key, N, timed));
+    }
+    std::fs::remove_dir_all(&dir).ok();
+
+    let model = BarabasiAlbertModel { m: 2 };
+    let source = ModelSource::new(&model);
+    let seeds = SeedSequence::new(0xBEAC);
+    let timed = timed_rounds(min_time, || {
+        for trial in 0..GRAPHS {
+            black_box(source.trial_graph(N, trial, &seeds.subsequence(trial as u64)));
         }
-        let secs = start.elapsed().as_secs_f64().max(1e-9);
-        let throughput = total_loads as f64 / secs;
-        println!("corpus_load/{key}_n{n}: {throughput:.1} graphs/s ({total_loads} loads)");
+        GRAPHS
+    });
+    cells.push(corpus_cell("regenerate", N, timed));
+    Ok(())
+}
+
+/// The `corpus_load` cell keyed `<lane>_n<n>`.
+fn corpus_cell(lane: &str, n: usize, timed: Timed) -> Cell {
+    let key = format!("{lane}_n{n}");
+    let throughput = timed.throughput();
+    println!(
+        "corpus_load/{key}: {throughput:.1} graphs/s ({} rounds of {})",
+        timed.rounds, timed.requests
+    );
+    Cell {
+        section: "corpus_load",
+        key,
+        throughput,
+        detail: vec![
+            ("n", JsonValue::from(n)),
+            ("graphs", JsonValue::from(timed.requests)),
+            ("rounds", JsonValue::from(timed.rounds)),
+        ],
+    }
+}
+
+/// One `kernels` row: a call whose result is kept opaque to the
+/// optimizer, drawing any randomness from the section's stream.
+type Kernel<'a> = Box<dyn FnMut(&mut ChaCha8Rng) + 'a>;
+
+fn kernel<'a, T>(mut call: impl FnMut(&mut ChaCha8Rng) -> T + 'a) -> Kernel<'a> {
+    Box::new(move |rng| {
+        black_box(call(rng));
+    })
+}
+
+/// Generator and analysis kernels, calls/sec: one table keyed by name,
+/// each row timed by [`timed_rounds`]. The generators run at n = 10 000;
+/// the analysis kernels share one Móri p=0.6 tree at n = 50 000. Every
+/// key is the same in quick and full mode, so the suite gate compares
+/// them on every run.
+fn kernels_section(min_time: Duration, cells: &mut Vec<Cell>) {
+    const N: usize = 10_000;
+    let tree = MoriTree::sample(50_000, 0.6, &mut rng_from_seed(1)).unwrap();
+    let graph = tree.undirected();
+    let degrees = degree_sequence(&graph);
+    let xs: Vec<f64> = (1..1000).map(|i| i as f64).collect();
+    let ys: Vec<f64> = xs.iter().map(|x| 3.0 * x.powf(0.5)).collect();
+    let trace_tree = MoriTree::sample(N, 0.5, &mut rng_from_seed(1)).unwrap();
+    let trace_window = EquivalenceWindow::from_anchor(N - 100);
+    let big = EquivalenceWindow::from_anchor(1_000_000);
+    let mc_window = EquivalenceWindow::from_anchor(200);
+    let cf = CooperFriezeConfig::balanced(0.7).unwrap();
+    let power_law = PowerLawConfig::new(2.3, 1).unwrap();
+    let mut rng = rng_from_seed(2);
+
+    let mut kernels: Vec<(&str, Kernel)> = vec![
+        (
+            "mori_tree_p05_n10000",
+            kernel(|rng| MoriTree::sample(N, 0.5, rng).unwrap()),
+        ),
+        (
+            "merged_mori_m3_n10000",
+            kernel(|rng| MergedMori::sample(N, 3, 0.5, rng).unwrap()),
+        ),
+        (
+            "cooper_frieze_n10000",
+            kernel(|rng| CooperFrieze::sample(N, &cf, rng).unwrap()),
+        ),
+        (
+            "barabasi_albert_m2_n10000",
+            kernel(|rng| BarabasiAlbert::sample(N, 2, rng).unwrap()),
+        ),
+        (
+            "uniform_attachment_n10000",
+            kernel(|rng| UniformAttachment::sample(N, 1, rng).unwrap()),
+        ),
+        (
+            "config_model_k23_n10000",
+            kernel(|rng| {
+                let degrees = power_law_degree_sequence(N, &power_law, rng).unwrap();
+                ConfigModel::sample(&degrees, SimplificationPolicy::Multigraph, rng).unwrap()
+            }),
+        ),
+        (
+            "kleinberg_grid_64_r2",
+            kernel(|rng| KleinbergGrid::sample(64, 2.0, 1, rng).unwrap()),
+        ),
+        (
+            "power_law_mle_50k",
+            kernel(|_| fit_power_law_mle(&degrees, 2).unwrap()),
+        ),
+        (
+            "degree_distribution_50k",
+            kernel(|_| DegreeDistribution::of(&graph)),
+        ),
+        (
+            "avg_distance_8_sources_50k",
+            kernel(|rng| average_distance(&graph, 8, rng).unwrap()),
+        ),
+        (
+            "log_log_fit_1k_points",
+            kernel(|_| fit_log_log(&xs, &ys).unwrap()),
+        ),
+        (
+            "exact_event_probability_a_1e6",
+            kernel(|_| mori_event_probability_exact(big.a(), big.b(), 0.5).unwrap()),
+        ),
+        (
+            "event_check_on_trace_b_10k",
+            kernel(|_| mori_window_event_holds(trace_tree.trace(), &trace_window)),
+        ),
+        (
+            "monte_carlo_event_200_trials",
+            kernel(|_| estimate_mori_event_probability(&mc_window, 0.5, 200, 3).unwrap()),
+        ),
+        (
+            "enumerate_trees_n9",
+            kernel(|_| enumerate_mori_trees(9, 0.5).unwrap()),
+        ),
+    ];
+    for (key, kernel) in &mut kernels {
+        let timed = timed_rounds(min_time, || {
+            kernel(&mut rng);
+            1
+        });
+        let throughput = timed.throughput();
+        println!(
+            "kernels/{key}: {throughput:.1} calls/s ({} rounds)",
+            timed.rounds
+        );
         cells.push(Cell {
-            section: "corpus_load",
-            key: format!("{key}_n{n}"),
+            section: "kernels",
+            key: key.to_string(),
             throughput,
             detail: vec![
-                ("n", JsonValue::from(n)),
-                ("graphs", JsonValue::from(graphs)),
-                ("rounds", JsonValue::from(rounds as u64)),
+                ("rounds", JsonValue::from(timed.rounds)),
+                (
+                    "ns_per_call",
+                    JsonValue::from(timed.secs * 1e9 / timed.rounds as f64),
+                ),
             ],
         });
     }
-    std::fs::remove_dir_all(&dir).ok();
-    Ok(())
 }
 
 /// Strategy-layer throughput: repeated identical searches (vertex 1 →
@@ -278,9 +429,8 @@ fn corpus_section(quick: bool, cells: &mut Vec<Cell>) -> Result<(), String> {
 /// size, pooled scratch and searcher, until the cell has run for at
 /// least 200 ms (100 ms quick). Every round is the same search, so the
 /// request count per round is exact and only the wall clock varies.
-fn searcher_section(quick: bool, cells: &mut Vec<Cell>) {
+fn searcher_section(quick: bool, min_time: Duration, cells: &mut Vec<Cell>) {
     let sizes: &[usize] = if quick { &[1_024] } else { &[1_024, 16_384] };
-    let min_time = Duration::from_millis(if quick { 100 } else { 200 });
     let model = MergedMoriModel { p: 0.6, m: 1 };
     let seeds = SeedSequence::new(0xBE5E).subsequence(0);
     let kinds = SearcherKind::informed()
@@ -430,13 +580,16 @@ pub fn main(args: &[String]) -> i32 {
         "=== xp bench (engine suite{}) ===\n",
         if quick { ", quick" } else { "" }
     );
+    // Every timed cell runs for at least this long.
+    let min_time = Duration::from_millis(if quick { 100 } else { 200 });
     let mut cells = Vec::new();
-    oracle_section(quick, &mut cells);
-    if let Err(e) = corpus_section(quick, &mut cells) {
+    oracle_section(quick, min_time, &mut cells);
+    if let Err(e) = corpus_section(min_time, &mut cells) {
         eprintln!("xp bench: {e}");
         return 2;
     }
-    searcher_section(quick, &mut cells);
+    kernels_section(min_time, &mut cells);
+    searcher_section(quick, min_time, &mut cells);
     thread_scaling_section(quick, &mut cells);
 
     let record = suite_record(quick, &cells);

@@ -7,26 +7,32 @@
 //! experiment measures age–degree correlation, degree assortativity and
 //! the `k_nn(d)` curve across both families.
 
+use super::print_banner;
 use nonsearch_analysis::{
     age_degree_correlation, degree_assortativity, mean_neighbor_degree_curve, SampleStats, Table,
 };
-use nonsearch_bench::{banner, quick, trials};
 use nonsearch_core::{
     BarabasiAlbertModel, CooperFriezeModel, GraphModel, MergedMoriModel, PowerLawGiantModel,
     UniformAttachmentModel,
 };
+use nonsearch_engine::{ExpContext, ExperimentSpec, JsonValue};
 use nonsearch_generators::SeedSequence;
 
-fn main() {
-    banner(
-        "E14 / neighbor-degree dependence",
-        "evolving models: age–degree correlation and degree–degree \
-         dependence; configuration model: neighbor degrees independent",
-    );
+pub(super) const SPEC: ExperimentSpec = ExperimentSpec {
+    name: "correlation",
+    id: "E14",
+    claim: "evolving models: age–degree correlation and degree–degree \
+            dependence; configuration model: neighbor degrees independent",
+    default_seed: 0xE14,
+    run,
+};
 
-    let n = if quick() { 10_000 } else { 50_000 };
-    let trial_count = trials(6);
-    let seeds = SeedSequence::new(0xE14);
+fn run(ctx: &mut ExpContext) {
+    print_banner(ctx, "E14 / neighbor-degree dependence", SPEC.claim);
+
+    let n = if ctx.options.quick { 10_000 } else { 50_000 };
+    let trial_count = ctx.options.trial_count(6);
+    let seeds = SeedSequence::new(ctx.seed);
 
     let models: Vec<(&str, Box<dyn GraphModel>)> = vec![
         (
@@ -74,7 +80,12 @@ fn main() {
                 knn_ratio.push(k1 / k8);
             }
         }
-        let fmt = |xs: &[f64]| match SampleStats::from_slice(xs) {
+        let (age_r, assort, knn_ratio) = (
+            SampleStats::from_slice(&age_r),
+            SampleStats::from_slice(&assort),
+            SampleStats::from_slice(&knn_ratio),
+        );
+        let fmt = |stats: &Option<SampleStats>| match stats {
             Some(s) => format!("{:+.3} ±{:.3}", s.mean(), s.ci95_half_width()),
             None => "-".into(),
         };
@@ -84,6 +95,25 @@ fn main() {
             fmt(&assort),
             fmt(&knn_ratio),
         ]);
+        // A statistic no trial produced is `null`, as the row's "-".
+        let mean = |stats: &Option<SampleStats>| JsonValue::from(stats.as_ref().map(|s| s.mean()));
+        let ci95 = |stats: &Option<SampleStats>| {
+            JsonValue::from(stats.as_ref().map(|s| s.ci95_half_width()))
+        };
+        ctx.writer
+            .record_cell(vec![
+                ("model", JsonValue::from(*name)),
+                ("n", JsonValue::from(n)),
+                ("trials", JsonValue::from(trial_count)),
+                ("seed", JsonValue::from(ctx.seed)),
+                ("age_degree_r", mean(&age_r)),
+                ("age_degree_r_ci95", ci95(&age_r)),
+                ("assortativity", mean(&assort)),
+                ("assortativity_ci95", ci95(&assort)),
+                ("knn_ratio", mean(&knn_ratio)),
+                ("knn_ratio_ci95", ci95(&knn_ratio)),
+            ])
+            .expect("write cell record");
     }
     println!("{table}");
     println!("reading the table:");

@@ -1,10 +1,8 @@
 //! E8 — scale-freeness of the models: power-law degree distributions.
 //!
-//! Port of the legacy `exp_degree_dist` binary onto the engine: same
-//! claim, table, and CCDF sketch, plus deterministic parallel trials,
-//! `--corpus` graph sourcing (models the corpus doesn't store fall back
-//! to generation with a note), and structured cell/profile records
-//! under `--out`.
+//! Deterministic parallel trials, `--corpus` graph sourcing (models the
+//! corpus doesn't store fall back to generation with a note), a CCDF
+//! sketch, and structured cell/profile records under `--out`.
 
 use super::{open_corpus, print_banner, resolve_source};
 use nonsearch_analysis::{fit_power_law_mle, log_binned_histogram, Table};
@@ -25,8 +23,8 @@ pub(super) const SPEC: ExperimentSpec = ExperimentSpec {
     run,
 };
 
-/// Minimum degree included in the MLE tail fit (as in the legacy
-/// binary: degrees ≥ 3, past the attachment-rule floor).
+/// Minimum degree included in the MLE tail fit: degrees ≥ 3, past the
+/// attachment-rule floor.
 const FIT_MIN_DEGREE: usize = 3;
 
 fn run(ctx: &mut ExpContext) {
@@ -66,7 +64,7 @@ fn run(ctx: &mut ExpContext) {
     println!("{table}");
 
     // CCDF sketch for one Móri run: log-binned densities. Display-only
-    // (no records), sampled directly as in the legacy binary.
+    // (no records), sampled directly from the generator.
     let mut rng = seeds.subsequence(99).child_rng(0);
     let degrees = degree_sequence(&MoriTree::sample(n, 0.6, &mut rng).unwrap().undirected());
     println!("log-binned degree histogram, mori(p=0.6), n = {n}:");

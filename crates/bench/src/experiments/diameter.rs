@@ -1,24 +1,30 @@
 //! E9 — the contrast: diameters and average distances stay logarithmic
 //! while search cost is polynomial (paper §conclusion).
 
+use super::print_banner;
 use nonsearch_analysis::{
     average_distance, diameter_lower_bound_double_sweep, fit_linear, SampleStats, Table,
 };
-use nonsearch_bench::{banner, sweep, trials};
 use nonsearch_core::{BarabasiAlbertModel, CooperFriezeModel, GraphModel, MergedMoriModel};
+use nonsearch_engine::{ExpContext, ExperimentSpec, JsonValue};
 use nonsearch_generators::SeedSequence;
 use nonsearch_graph::NodeId;
 
-fn main() {
-    banner(
-        "E9 / logarithmic distances",
-        "avg distance & diameter grow like log n across the evolving models \
-         — while Theorem 1/2 search cost grows like √n",
-    );
+pub(super) const SPEC: ExperimentSpec = ExperimentSpec {
+    name: "diameter",
+    id: "E9",
+    claim: "avg distance & diameter grow like log n across the evolving models \
+            — while Theorem 1/2 search cost grows like √n",
+    default_seed: 0xE9,
+    run,
+};
 
-    let sizes = sweep(&[1024, 4096, 16384, 65536]);
-    let trial_count = trials(5);
-    let seeds = SeedSequence::new(0xE9);
+fn run(ctx: &mut ExpContext) {
+    print_banner(ctx, "E9 / logarithmic distances", SPEC.claim);
+
+    let sizes = ctx.options.sweep(&[1024, 4096, 16384, 65536]);
+    let trial_count = ctx.options.trial_count(5);
+    let seeds = SeedSequence::new(ctx.seed);
 
     let models: Vec<(&str, Box<dyn GraphModel>)> = vec![
         (
@@ -56,13 +62,26 @@ fn main() {
             }
             let avg = SampleStats::from_slice(&avgs).expect("trials ≥ 1");
             let diam = SampleStats::from_slice(&diams).expect("trials ≥ 1");
+            let per_log2 = avg.mean() / (n as f64).log2();
             table.row(vec![
                 name.to_string(),
                 n.to_string(),
                 format!("{:.2} ±{:.2}", avg.mean(), avg.ci95_half_width()),
                 format!("{:.1}", diam.mean()),
-                format!("{:.3}", avg.mean() / (n as f64).log2()),
+                format!("{per_log2:.3}"),
             ]);
+            ctx.writer
+                .record_cell(vec![
+                    ("model", JsonValue::from(*name)),
+                    ("n", JsonValue::from(n)),
+                    ("trials", JsonValue::from(trial_count)),
+                    ("seed", JsonValue::from(ctx.seed)),
+                    ("avg_distance", JsonValue::from(avg.mean())),
+                    ("ci95", JsonValue::from(avg.ci95_half_width())),
+                    ("diameter_lower_bound", JsonValue::from(diam.mean())),
+                    ("avg_per_log2_n", JsonValue::from(per_log2)),
+                ])
+                .expect("write cell record");
             xs.push((n as f64).ln());
             ys.push(avg.mean());
         }

@@ -1,28 +1,34 @@
 //! E11 — Kleinberg's navigability dichotomy: greedy routing is polylog
 //! only at the critical exponent `r = 2` (2-D lattice).
 
+use super::print_banner;
 use nonsearch_analysis::{fit_log_log, SampleStats, Table};
-use nonsearch_bench::{banner, quick, trials};
+use nonsearch_engine::{ExpContext, ExperimentSpec, JsonValue};
 use nonsearch_generators::{KleinbergGrid, SeedSequence};
 use nonsearch_graph::NodeId;
 use nonsearch_search::greedy_route;
 use rand::Rng;
 
-fn main() {
-    banner(
-        "E11 / Kleinberg navigability",
-        "greedy routing on the 2-D small-world lattice is O(log² n) at \
-         r = 2 and polynomially slower at other exponents",
-    );
+pub(super) const SPEC: ExperimentSpec = ExperimentSpec {
+    name: "kleinberg",
+    id: "E11",
+    claim: "greedy routing on the 2-D small-world lattice is O(log² n) at \
+            r = 2 and polynomially slower at other exponents",
+    default_seed: 0xE11,
+    run,
+};
 
-    let sides: Vec<usize> = if quick() {
+fn run(ctx: &mut ExpContext) {
+    print_banner(ctx, "E11 / Kleinberg navigability", SPEC.claim);
+
+    let sides: Vec<usize> = if ctx.options.quick {
         vec![16, 32, 64]
     } else {
         vec![16, 32, 64, 128, 256]
     };
     let r_values = [0.0, 1.0, 2.0, 3.0];
-    let routes = trials(300);
-    let seeds = SeedSequence::new(0xE11);
+    let routes = ctx.options.trial_count(300);
+    let seeds = SeedSequence::new(ctx.seed);
 
     let mut table = Table::with_columns(&["r", "side", "n", "mean hops", "hops / log2²(n)"]);
     for (ri, &r) in r_values.iter().enumerate() {
@@ -41,14 +47,26 @@ fn main() {
                 hops.push(out.steps as f64);
             }
             let stats = SampleStats::from_slice(&hops).expect("routes ≥ 1");
-            let polylog = (n as f64).log2().powi(2);
+            let per_polylog = stats.mean() / (n as f64).log2().powi(2);
             table.row(vec![
                 format!("{r:.1}"),
                 side.to_string(),
                 n.to_string(),
                 format!("{:.1} ±{:.1}", stats.mean(), stats.ci95_half_width()),
-                format!("{:.3}", stats.mean() / polylog),
+                format!("{per_polylog:.3}"),
             ]);
+            ctx.writer
+                .record_cell(vec![
+                    ("r", JsonValue::from(r)),
+                    ("side", JsonValue::from(side)),
+                    ("n", JsonValue::from(n)),
+                    ("trials", JsonValue::from(routes)),
+                    ("seed", JsonValue::from(ctx.seed)),
+                    ("mean_hops", JsonValue::from(stats.mean())),
+                    ("ci95", JsonValue::from(stats.ci95_half_width())),
+                    ("hops_per_log2_sq", JsonValue::from(per_polylog)),
+                ])
+                .expect("write cell record");
             xs.push(n as f64);
             ys.push(stats.mean());
         }

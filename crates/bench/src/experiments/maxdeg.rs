@@ -1,9 +1,8 @@
 //! E7 — Móri's maximum degree: the max degree of `G_t` grows like `t^p`
 //! (Móri 2005), the ingredient of Theorem 1's strong-model transfer.
 //!
-//! Port of the legacy `exp_maxdeg` binary onto the engine: same claim
-//! and table, plus deterministic parallel cells, `--corpus` graph
-//! sourcing, and structured cell/profile records under `--out`.
+//! Deterministic parallel cells, `--corpus` graph sourcing, and
+//! structured cell/profile records under `--out`.
 
 use super::{open_corpus, print_banner, resolve_source};
 use nonsearch_analysis::{fit_log_log, Table};

@@ -1,19 +1,23 @@
-//! The registered experiment suite behind `xp` and the legacy binaries.
+//! The registered experiment suite behind `xp`.
 //!
-//! Each submodule ports one `exp_*` binary onto the engine: same claim,
-//! same pretty tables, same seed derivations — plus structured JSONL/CSV
-//! cell records via [`ExpContext::writer`] and the shared flag set
-//! (`--quick`, `--threads`, `--seed`, `--out`, `--format`, `--trials`,
-//! `--sizes`). The remaining experiments still run as standalone
-//! binaries; see `EXPERIMENTS.md` for the full map.
+//! Each submodule is one `ExperimentSpec`: a claim, its pretty tables
+//! and seed derivations, structured JSONL/CSV cell records via
+//! [`ExpContext::writer`], and the shared flag set (`--quick`,
+//! `--threads`, `--seed`, `--out`, `--format`, `--trials`, `--sizes`).
+//! See `EXPERIMENTS.md` for the id → subcommand map.
 
 mod ablation;
+mod adamic;
+mod correlation;
 mod degree_dist;
+mod diameter;
+mod kleinberg;
 mod lemma1_bound;
 mod lemma2_equiv;
 mod lemma3_event;
 mod maxdeg;
 mod null_model;
+mod percolation;
 mod theorem1_strong;
 mod theorem1_weak;
 mod theorem2_cf;
@@ -33,7 +37,12 @@ pub fn registry() -> Registry {
         .register(lemma3_event::SPEC)
         .register(maxdeg::SPEC)
         .register(degree_dist::SPEC)
+        .register(diameter::SPEC)
+        .register(adamic::SPEC)
+        .register(kleinberg::SPEC)
+        .register(percolation::SPEC)
         .register(ablation::SPEC)
+        .register(correlation::SPEC)
         .register(null_model::SPEC)
         .add_usage_note(
             "corpus build|info|verify — persistent graph-ensemble store (xp corpus help)",
@@ -92,14 +101,7 @@ pub(super) fn resolve_source<'a, M: GraphModel + Sync>(
     Box::new(ModelSource::new(model))
 }
 
-/// Entry point for a legacy `exp_*` binary: dispatches `name` through
-/// the registry with leniently-parsed process arguments.
-pub fn run_legacy(name: &str) {
-    nonsearch_engine::run_legacy(&registry(), name);
-}
-
-/// The standard experiment banner, driven by the run's own options
-/// (not the process-global ones, so `xp` subcommands report correctly).
+/// The standard experiment banner, driven by the run's own options.
 fn print_banner(ctx: &ExpContext, id: &str, claim: &str) {
     println!("=== {id} ===");
     println!("claim: {claim}");
@@ -116,7 +118,7 @@ mod tests {
     #[test]
     fn registry_has_at_least_ten_experiments() {
         let r = registry();
-        assert!(r.specs().len() >= 10, "only {} registered", r.specs().len());
+        assert!(r.specs().len() >= 15, "only {} registered", r.specs().len());
         for name in [
             "theorem1-weak",
             "theorem1-strong",
@@ -126,7 +128,12 @@ mod tests {
             "lemma3-event",
             "maxdeg",
             "degree-dist",
+            "diameter",
+            "adamic",
+            "kleinberg",
+            "percolation",
             "ablation",
+            "correlation",
             "null-model",
         ] {
             assert!(r.find(name).is_some(), "{name} missing");

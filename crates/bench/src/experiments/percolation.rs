@@ -2,28 +2,34 @@
 //! walks plus bond-percolation broadcast makes lookups sublinear on
 //! power-law overlays.
 
+use super::print_banner;
 use nonsearch_analysis::{SampleStats, Table};
-use nonsearch_bench::{banner, quick, trials};
 use nonsearch_core::{GraphModel, PowerLawGiantModel};
+use nonsearch_engine::{ExpContext, ExperimentSpec, JsonValue};
 use nonsearch_generators::SeedSequence;
 use nonsearch_graph::NodeId;
 use nonsearch_search::{percolation_search, PercolationConfig};
 use rand::Rng;
 
-fn main() {
-    banner(
-        "E12 / percolation search",
-        "replication × percolation probability trade-off: success rises \
-         with both, messages stay sublinear in n for fixed parameters",
-    );
+pub(super) const SPEC: ExperimentSpec = ExperimentSpec {
+    name: "percolation",
+    id: "E12",
+    claim: "replication × percolation probability trade-off: success rises \
+            with both, messages stay sublinear in n for fixed parameters",
+    default_seed: 0xE12,
+    run,
+};
 
-    let n = if quick() { 8_000 } else { 30_000 };
-    let trial_count = trials(60);
+fn run(ctx: &mut ExpContext) {
+    print_banner(ctx, "E12 / percolation search", SPEC.claim);
+
+    let n = if ctx.options.quick { 8_000 } else { 30_000 };
+    let trial_count = ctx.options.trial_count(60);
     let model = PowerLawGiantModel {
         exponent: 2.3,
         d_min: 1,
     };
-    let seeds = SeedSequence::new(0xE12);
+    let seeds = SeedSequence::new(ctx.seed);
 
     let mut rng = seeds.child_rng(0);
     let overlay = model.sample_graph(n, &mut rng);
@@ -59,13 +65,27 @@ fn main() {
                 messages.push(out.messages as f64);
             }
             let stats = SampleStats::from_slice(&messages).expect("trials ≥ 1");
+            let success = found as f64 / trial_count as f64;
+            let per_peer = stats.mean() / peers as f64;
             table.row(vec![
                 walk.to_string(),
                 format!("{q:.2}"),
-                format!("{:.2}", found as f64 / trial_count as f64),
+                format!("{success:.2}"),
                 format!("{:.0}", stats.mean()),
-                format!("{:.3}", stats.mean() / peers as f64),
+                format!("{per_peer:.3}"),
             ]);
+            ctx.writer
+                .record_cell(vec![
+                    ("replication_walk", JsonValue::from(walk)),
+                    ("edge_probability", JsonValue::from(q)),
+                    ("peers", JsonValue::from(peers)),
+                    ("trials", JsonValue::from(trial_count)),
+                    ("seed", JsonValue::from(ctx.seed)),
+                    ("success", JsonValue::from(success)),
+                    ("mean_messages", JsonValue::from(stats.mean())),
+                    ("messages_per_n", JsonValue::from(per_peer)),
+                ])
+                .expect("write cell record");
         }
     }
     println!("{table}");

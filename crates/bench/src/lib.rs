@@ -1,11 +1,11 @@
-//! Shared helpers for the experiment binaries and Criterion benches.
+//! The `xp` experiment suite, its benchmark harness and shared cell
+//! helpers.
 //!
 //! Every experiment regenerates one evaluation artifact from
-//! EXPERIMENTS.md; the unified `xp` binary fronts them all (`xp list`),
-//! and the legacy `exp_*` binaries dispatch to the same registered
-//! implementations. All entry points share the engine's flag set —
-//! `--quick`, `--threads`, `--seed`, `--out`, `--format`, `--trials`,
-//! `--sizes` — parsed once into [`CliOptions`].
+//! EXPERIMENTS.md; the `xp` binary fronts them all (`xp list`). Every
+//! experiment shares the engine's flag set — `--quick`, `--threads`,
+//! `--seed`, `--out`, `--format`, `--trials`, `--sizes` — parsed into
+//! [`CliOptions`](nonsearch_engine::CliOptions).
 //!
 //! The cell helpers here ([`strong_cell_from`],
 //! [`weak_cell_with_policy_from`]) take their trial graphs from a
@@ -22,40 +22,13 @@ pub mod chaos;
 pub mod experiments;
 
 use nonsearch_engine::{
-    run_lanes_observed, CellTelemetry, CliOptions, GraphSource, LaneAggregate, TrialMeasure,
+    run_lanes_observed, CellTelemetry, GraphSource, LaneAggregate, TrialMeasure,
 };
 use nonsearch_generators::SeedSequence;
 use nonsearch_graph::NodeId;
 use nonsearch_search::{
     search_trial, LaneSearcher, SearchScratch, SearchTask, StrongSearcher, SuccessCriterion,
 };
-
-/// `true` when the caller asked for a reduced sweep (`--quick` or
-/// `NONSEARCH_QUICK=1`); read from the process-wide options, which are
-/// parsed exactly once.
-pub fn quick() -> bool {
-    CliOptions::global().quick
-}
-
-/// Truncates a size sweep in quick mode (and honours `--sizes`).
-pub fn sweep(full: &[usize]) -> Vec<usize> {
-    CliOptions::global().sweep(full)
-}
-
-/// Scales a trial count down in quick mode (and honours `--trials`).
-pub fn trials(full: usize) -> usize {
-    CliOptions::global().trial_count(full)
-}
-
-/// Prints the standard experiment banner.
-pub fn banner(id: &str, claim: &str) {
-    println!("=== {id} ===");
-    println!("claim: {claim}");
-    if quick() {
-        println!("mode: QUICK (reduced sweep; run without --quick for the full table)");
-    }
-    println!();
-}
 
 /// Strong-model searcher selection for the Theorem 1 strong experiments.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -308,13 +281,5 @@ mod tests {
         let names: Vec<&str> = StrongKind::all().iter().map(|k| k.name()).collect();
         assert_eq!(names.len(), 3);
         assert!(names.contains(&"strong-bfs"));
-    }
-
-    #[test]
-    fn sweep_respects_quick() {
-        if !quick() {
-            assert_eq!(sweep(&[1, 2, 3, 4]), vec![1, 2, 3, 4]);
-            assert_eq!(trials(12), 12);
-        }
     }
 }

@@ -47,8 +47,43 @@ fn list_enumerates_the_registered_experiments() {
         "lemma2-equiv",
         "lemma3-event",
         "ablation",
+        "diameter",
+        "adamic",
+        "kleinberg",
+        "percolation",
+        "correlation",
     ] {
         assert!(stdout.contains(name), "xp list misses {name}:\n{stdout}");
+    }
+}
+
+#[test]
+fn contrast_experiments_write_thread_invariant_valid_cells() {
+    for name in [
+        "diameter",
+        "adamic",
+        "kleinberg",
+        "percolation",
+        "correlation",
+    ] {
+        let mut cells = Vec::new();
+        for threads in ["1", "2"] {
+            let path = temp_path(&format!("{name}_t{threads}.jsonl"));
+            let path_str = path.to_str().unwrap();
+            let out = xp(&[name, "--quick", "--threads", threads, "--out", path_str]);
+            assert!(
+                out.status.success(),
+                "{name}: {}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+            assert!(xp(&["validate", path_str]).status.success(), "{name}");
+            let text = std::fs::read_to_string(&path).unwrap();
+            std::fs::remove_file(&path).ok();
+            let lines: Vec<String> = cell_lines(&text).into_iter().map(String::from).collect();
+            assert!(!lines.is_empty(), "{name} wrote no cell records");
+            cells.push(lines);
+        }
+        assert_eq!(cells[0], cells[1], "{name}: cells depend on --threads");
     }
 }
 

@@ -24,7 +24,7 @@
 //!   the fly or served from a persistent corpus (`nonsearch_corpus`).
 //! * [`CliOptions`] — the experiment flag set (`--quick`, `--threads`,
 //!   `--seed`, `--out`, `--format`, `--trials`, `--sizes`,
-//!   `--corpus`, `--mmap`), parsed once.
+//!   `--corpus`, `--mmap`), parsed strictly.
 //! * [`RunWriter`] — JSON Lines + CSV run records (params, seed, git
 //!   describe, wall time, mean/CI/success) alongside the pretty tables;
 //!   [`CellTelemetry`] times a cell and carries what its `profile`,
@@ -36,7 +36,7 @@
 //!   allocation-free per-worker counter bundle merged by
 //!   [`run_lanes_observed`], and the span tracer behind `--trace`.
 //! * [`json`] — a dependency-free JSON value/serializer/parser (the
-//!   workspace's vendored `serde` is a no-op stub).
+//!   workspace builds offline and depends on no serialization crate).
 //!
 //! # Example: a deterministic parallel cell
 //!
@@ -84,8 +84,7 @@ pub use record::{
     DIAGNOSTIC_TYPE, FAULT_TYPE, LINT_TYPE, METRICS_TYPE, PROFILE_TYPE, RESOURCE_TYPE, RUN_TYPE,
 };
 pub use registry::{
-    run_legacy, validate_chrome_trace, validate_jsonl, ExpContext, ExperimentSpec, Registry,
-    ValidateSummary,
+    validate_chrome_trace, validate_jsonl, ExpContext, ExperimentSpec, Registry, ValidateSummary,
 };
 pub use runner::{
     resolved_workers, run_lanes_observed, run_ordered, trial_seeds, LaneAggregate, TrialMeasure,

@@ -1,7 +1,6 @@
 //! The shared experiment command line, parsed once.
 //!
-//! Every experiment entry point — the `xp` subcommands and the legacy
-//! `exp_*` binaries — understands the same flags:
+//! Every `xp` experiment subcommand understands the same flags:
 //!
 //! | flag | meaning |
 //! |------|---------|
@@ -20,19 +19,15 @@
 //! | `--heal` | quarantine + regenerate corrupt corpus blobs instead of failing the load |
 //!
 //! `--quick`, `--mmap`, `--trust-checksums`, `--profile`, and `--heal` are boolean flags: they take no value, and
-//! the strict (`xp`) parser rejects `--quick=...` outright — silently
-//! treating `--quick=false` as *enabling* quick mode was a real bug.
+//! the parser rejects `--quick=...` outright — silently treating
+//! `--quick=false` as *enabling* quick mode was a real bug. Unknown
+//! arguments and malformed values are errors too.
 //! `NONSEARCH_QUICK` enables quick mode unless it is empty or one of
 //! `0`, `false`, `off`, `no` (case-insensitive), which disable it —
 //! `NONSEARCH_QUICK=0` used to enable quick mode too.
-//!
-//! Legacy binaries used to re-scan `std::env::args()` on every call to
-//! `quick()`; [`CliOptions::global`] parses the process arguments exactly
-//! once instead.
 
 use std::fmt;
 use std::path::PathBuf;
-use std::sync::OnceLock;
 
 /// Which structured formats a run writes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -89,7 +84,7 @@ pub enum OptionsError {
         /// What would have parsed.
         expected: &'static str,
     },
-    /// An argument the strict (xp) parser does not know.
+    /// An argument the parser does not know.
     Unknown {
         /// The argument as given.
         arg: String,
@@ -112,7 +107,7 @@ impl fmt::Display for OptionsError {
 
 impl std::error::Error for OptionsError {}
 
-/// The experiment options shared by `xp` and the legacy binaries.
+/// The experiment options shared by every `xp` experiment.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct CliOptions {
     /// Reduced sweep requested (`--quick` / `NONSEARCH_QUICK`).
@@ -157,36 +152,10 @@ pub struct CliOptions {
 }
 
 impl CliOptions {
-    /// Strictly parses experiment flags: unknown arguments are errors.
-    /// `NONSEARCH_QUICK` in the environment also enables quick mode.
+    /// Parses experiment flags: unknown arguments and malformed values
+    /// are errors. `NONSEARCH_QUICK` in the environment also enables
+    /// quick mode.
     pub fn from_args<I, S>(args: I) -> Result<CliOptions, OptionsError>
-    where
-        I: IntoIterator<Item = S>,
-        S: Into<String>,
-    {
-        Self::parse(args, true)
-    }
-
-    /// Leniently parses experiment flags, ignoring unknown arguments and
-    /// malformed flag values alike — this is what the legacy binaries
-    /// (and the process-global options used inside test binaries) rely
-    /// on, so a stray harness argument never aborts a run.
-    pub fn from_args_lenient<I, S>(args: I) -> CliOptions
-    where
-        I: IntoIterator<Item = S>,
-        S: Into<String>,
-    {
-        Self::parse(args, false).expect("lenient parse reports no errors")
-    }
-
-    /// The process-wide options, parsed exactly once from
-    /// `std::env::args()` (lenient) and `NONSEARCH_QUICK`.
-    pub fn global() -> &'static CliOptions {
-        static GLOBAL: OnceLock<CliOptions> = OnceLock::new();
-        GLOBAL.get_or_init(|| CliOptions::from_args_lenient(std::env::args().skip(1)))
-    }
-
-    fn parse<I, S>(args: I, strict: bool) -> Result<CliOptions, OptionsError>
     where
         I: IntoIterator<Item = S>,
         S: Into<String>,
@@ -217,8 +186,7 @@ impl CliOptions {
                 }
             };
             // Boolean flags take no value. An inline value is an error:
-            // strict mode rejects it (`--quick=false` must not *enable*
-            // quick mode), lenient mode swallows the whole argument.
+            // `--quick=false` must not *enable* quick mode.
             let boolean = |flag_name: &'static str| -> Result<bool, OptionsError> {
                 match &inline {
                     Some(v) => Err(OptionsError::BadValue {
@@ -229,7 +197,7 @@ impl CliOptions {
                     None => Ok(true),
                 }
             };
-            let outcome: Result<(), OptionsError> = match flag.as_str() {
+            match flag.as_str() {
                 "--quick" => boolean("--quick").map(|b| opts.quick = b),
                 "--mmap" => boolean("--mmap").map(|b| opts.mmap = b),
                 "--trust-checksums" => {
@@ -270,15 +238,7 @@ impl CliOptions {
                     Ok(())
                 }),
                 _ => Err(OptionsError::Unknown { arg }),
-            };
-            // Lenient mode swallows everything — unknown flags AND
-            // malformed values — so a stray harness argument can never
-            // abort a legacy binary or a test process.
-            if let Err(e) = outcome {
-                if strict {
-                    return Err(e);
-                }
-            }
+            }?;
         }
         Ok(opts)
     }
@@ -413,36 +373,20 @@ mod tests {
     }
 
     #[test]
-    fn strict_rejects_unknown_lenient_ignores() {
-        assert_eq!(
-            strict(&["--wat"]),
-            Err(OptionsError::Unknown {
-                arg: "--wat".into()
-            })
-        );
-        let opts = CliOptions::from_args_lenient(["--wat", "--quick"]);
-        assert!(opts.quick);
-    }
-
-    #[test]
-    fn lenient_swallows_malformed_values_too() {
-        // A libtest-style harness flag with a value xp doesn't know.
-        let opts = CliOptions::from_args_lenient(["--format", "terse", "--quick"]);
-        assert!(opts.quick);
-        assert_eq!(opts.format, OutputFormat::Jsonl);
-        // Bad numbers and trailing value-less flags are dropped, not fatal.
-        let opts = CliOptions::from_args_lenient(["--threads", "abc", "--seed"]);
-        assert_eq!(opts.threads, 0);
-        assert_eq!(opts.seed, None);
+    fn strict_rejects_unknown_arguments() {
+        for args in [&["--wat"][..], &["--quick", "--wat"]] {
+            assert_eq!(
+                strict(args),
+                Err(OptionsError::Unknown {
+                    arg: "--wat".into()
+                })
+            );
+        }
     }
 
     #[test]
     fn value_less_flag_never_eats_a_following_flag() {
-        // Lenient: `--seed` is dropped, `--quick` survives.
-        let opts = CliOptions::from_args_lenient(["--seed", "--quick"]);
-        assert_eq!(opts.seed, None);
-        assert!(opts.quick);
-        // Strict: the missing value is reported against `--seed`.
+        // The missing value is reported against `--seed`.
         assert_eq!(
             strict(&["--seed", "--quick"]),
             Err(OptionsError::MissingValue { flag: "--seed" })
@@ -507,13 +451,6 @@ mod tests {
                 "{arg}: {err:?}"
             );
         }
-        // Lenient mode swallows the malformed argument entirely — it
-        // must NOT come out as `quick: true`.
-        let opts = CliOptions::from_args_lenient(["--quick=false", "--threads", "2"]);
-        assert!(!opts.quick);
-        assert_eq!(opts.threads, 2);
-        let opts = CliOptions::from_args_lenient(["--mmap=yes"]);
-        assert!(!opts.mmap);
     }
 
     #[test]
@@ -521,8 +458,6 @@ mod tests {
         let opts = strict(&["--mmap", "--corpus", "dir"]).unwrap();
         assert!(opts.mmap);
         assert!(!CliOptions::default().mmap);
-        let opts = CliOptions::from_args_lenient(["--mmap"]);
-        assert!(opts.mmap);
     }
 
     #[test]
@@ -530,8 +465,6 @@ mod tests {
         let opts = strict(&["--profile"]).unwrap();
         assert!(opts.profile);
         assert!(!CliOptions::default().profile);
-        let opts = CliOptions::from_args_lenient(["--profile"]);
-        assert!(opts.profile);
     }
 
     #[test]
@@ -539,8 +472,6 @@ mod tests {
         let opts = strict(&["--heal", "--corpus", "dir"]).unwrap();
         assert!(opts.heal);
         assert!(!CliOptions::default().heal);
-        let opts = CliOptions::from_args_lenient(["--heal"]);
-        assert!(opts.heal);
     }
 
     #[test]
@@ -548,8 +479,6 @@ mod tests {
         let opts = strict(&["--trust-checksums", "--corpus", "dir"]).unwrap();
         assert!(opts.trust_checksums);
         assert!(!CliOptions::default().trust_checksums);
-        let opts = CliOptions::from_args_lenient(["--trust-checksums"]);
-        assert!(opts.trust_checksums);
     }
 
     #[test]

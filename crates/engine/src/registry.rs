@@ -4,9 +4,7 @@
 //! paper id, one-line claim, default seed, run function — and
 //! [`Registry::main`] provides the whole command line: `xp list`,
 //! `xp validate`, `xp <experiment> [flags]`, with the shared flag set of
-//! [`CliOptions`]. Legacy `exp_*` binaries reuse the same dispatch via
-//! [`Registry::run_named`], so one experiment implementation serves both
-//! entry points.
+//! [`CliOptions`].
 
 use crate::json;
 use crate::options::CliOptions;
@@ -642,23 +640,6 @@ pub fn validate_chrome_trace(text: &str) -> Result<usize, String> {
         }
     }
     Ok(events.len())
-}
-
-/// Entry point for a legacy single-experiment binary: lenient flags from
-/// the process environment, same implementation as the `xp` subcommand.
-pub fn run_legacy(registry: &Registry, name: &str) {
-    let options = CliOptions::global();
-    let summary = registry
-        .run_named(name, options)
-        .unwrap_or_else(|e| panic!("{name}: {e}"));
-    if !summary.paths.is_empty() {
-        let paths: Vec<String> = summary
-            .paths
-            .iter()
-            .map(|p| p.display().to_string())
-            .collect();
-        println!("wrote {} cells to {}", summary.cells, paths.join(" + "));
-    }
 }
 
 #[cfg(test)]
